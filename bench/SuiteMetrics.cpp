@@ -1,52 +1,14 @@
 #include "SuiteMetrics.h"
 
-#include "bounds/Bounds.h"
 #include "bounds/Lifetimes.h"
 #include "graph/MinDist.h"
-#include "graph/Scc.h"
-#include "support/Statistics.h"
-#include "support/Table.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
-#include <ostream>
+#include <iostream>
 
 using namespace lsms;
-
-LoopAnalysis lsms::analyzeLoop(const LoopBody &Body,
-                               const MachineModel &Machine) {
-  LoopAnalysis A;
-  A.Name = Body.Name;
-  A.Ops = Body.numMachineOps();
-  A.BasicBlocks = Body.SourceBasicBlocks;
-  A.HasConditional = Body.HasConditional;
-  A.Gprs = countGprs(Body);
-
-  const DepGraph Graph(Body, Machine);
-  const MIIBounds Bounds = computeMII(Graph);
-  A.ResMII = Bounds.ResMII;
-  A.RecMII = Bounds.RecMII;
-  A.MII = Bounds.MII;
-
-  const auto Critical = markCriticalOps(Body, Machine, A.MII);
-  const SccInfo Sccs = computeSccs(Graph);
-  for (const Operation &Op : Body.Ops) {
-    if (isPseudo(Op.Opc))
-      continue;
-    if (Critical[static_cast<size_t>(Op.Id)])
-      ++A.CriticalOps;
-    if (Sccs.OnRecurrence[static_cast<size_t>(Op.Id)])
-      ++A.RecurrenceOps;
-    if (isDividerOp(Op.Opc))
-      ++A.DivOps;
-  }
-  A.HasRecurrence = A.RecurrenceOps > 0;
-
-  MinDistMatrix MinDist;
-  if (MinDist.compute(Graph, A.MII))
-    A.MinAvgAtMII = computeMinAvg(Graph, MinDist);
-  return A;
-}
 
 SchedOutcome lsms::runScheduler(const LoopBody &Body,
                                 const MachineModel &Machine,
@@ -81,131 +43,31 @@ SchedOutcome lsms::runScheduler(const LoopBody &Body,
   return O;
 }
 
-int lsms::suiteSizeFromArgs(int Argc, char **Argv, int Default) {
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--jobs") == 0) {
-      ++I; // skip the flag's value
-      continue;
-    }
-    const int N = std::atoi(Argv[I]);
-    return N > 0 ? N : Default;
-  }
-  return Default;
+namespace {
+
+/// Parses all of \p S as a decimal int; false on anything else.
+bool parseInt(const char *S, int &Out) {
+  const char *End = S + std::strlen(S);
+  const auto [Ptr, Ec] = std::from_chars(S, End, Out);
+  return Ec == std::errc() && Ptr == End;
 }
 
-int lsms::jobsFromArgs(int Argc, char **Argv) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], "--jobs") == 0) {
-      const int Jobs = std::atoi(Argv[I + 1]);
-      return Jobs > 0 ? Jobs : 0;
-    }
-  return 0;
-}
+} // namespace
 
-void lsms::printPerformanceTable(std::ostream &OS, const std::string &Title,
-                                 const std::vector<LoopAnalysis> &Analyses,
-                                 const std::vector<SchedOutcome> &Outcomes) {
-  struct ClassAgg {
-    long Opt = 0;
-    long All = 0;
-    long SumII = 0;
-    long SumMII = 0;
-    long Failures = 0;
-  };
-  ClassAgg Classes[4], Total;
-  const char *ClassNames[4] = {"Has Conditional", "Has Recurrence",
-                               "Has Both", "Has Neither"};
-
-  std::vector<double> TailII, TailMII, TailDiff, TailRatio;
-  for (size_t I = 0; I < Analyses.size(); ++I) {
-    const LoopAnalysis &A = Analyses[I];
-    const SchedOutcome &O = Outcomes[I];
-    int ClassIndex;
-    if (A.HasConditional && A.HasRecurrence)
-      ClassIndex = 2;
-    else if (A.HasConditional)
-      ClassIndex = 0;
-    else if (A.HasRecurrence)
-      ClassIndex = 1;
+int lsms::suiteSizeFromArgs(int Argc, char **Argv, int Default, int *Jobs) {
+  int Size = 0;
+  bool Ok = true;
+  for (int I = 1; I < Argc && Ok; ++I) {
+    if (Jobs && std::strcmp(Argv[I], "--jobs") == 0)
+      Ok = I + 1 < Argc && parseInt(Argv[++I], *Jobs) && *Jobs >= 0;
     else
-      ClassIndex = 3;
-
-    for (ClassAgg *Agg : {&Classes[ClassIndex], &Total}) {
-      ++Agg->All;
-      // Failures are represented by the last II attempted (the paper's
-      // footnote 8).
-      Agg->SumII += O.II;
-      Agg->SumMII += O.MII;
-      if (O.Success && O.II == O.MII)
-        ++Agg->Opt;
-      if (!O.Success)
-        ++Agg->Failures;
-    }
-    if (!O.Success || O.II > O.MII) {
-      TailII.push_back(O.II);
-      TailMII.push_back(O.MII);
-      TailDiff.push_back(O.II - O.MII);
-      TailRatio.push_back(static_cast<double>(O.II) / O.MII);
-    }
+      Ok = Size == 0 && parseInt(Argv[I], Size) && Size > 0;
   }
-
-  OS << Title << '\n';
-  TextTable T;
-  T.setHeader({"Loop Class", "Opt", "All", "%", "Sum II", "Sum MII",
-               "Ratio"});
-  auto AddRow = [&T](const char *Name, const ClassAgg &Agg) {
-    if (Agg.All == 0) {
-      T.addRow({Name, "0", "0", "-", "0", "0", "-"});
-      return;
-    }
-    T.addRow({Name, std::to_string(Agg.Opt), std::to_string(Agg.All),
-              formatNumber(100.0 * static_cast<double>(Agg.Opt) /
-                               static_cast<double>(Agg.All),
-                           1),
-              std::to_string(Agg.SumII), std::to_string(Agg.SumMII),
-              formatNumber(static_cast<double>(Agg.SumII) /
-                               static_cast<double>(Agg.SumMII),
-                           3)});
-  };
-  for (int C = 0; C < 4; ++C)
-    AddRow(ClassNames[C], Classes[C]);
-  T.addSeparator();
-  AddRow("All Loops", Total);
-  T.print(OS);
-
-  if (Total.Failures > 0)
-    OS << "(failed to pipeline " << Total.Failures
-       << " loops; each counted at the last II attempted)\n";
-
-  OS << "\nFor the " << TailII.size() << " loops with II > MII:\n";
-  if (!TailII.empty()) {
-    TextTable Tail;
-    Tail.setHeader({"Metric", "Min", "50%", "90%", "Max"});
-    auto Row = [&Tail](const char *Name, const std::vector<double> &V,
-                       int Decimals) {
-      const QuantileSummary S = summarize(V);
-      Tail.addRow({Name, formatNumber(S.Min, Decimals),
-                   formatNumber(S.Median, Decimals),
-                   formatNumber(S.Pct90, Decimals),
-                   formatNumber(S.Max, Decimals)});
-    };
-    Row("II", TailII, 0);
-    Row("MII", TailMII, 0);
-    Row("II - MII", TailDiff, 0);
-    Row("II / MII", TailRatio, 2);
-    Tail.print(OS);
+  if (!Ok) {
+    const char *Slash = std::strrchr(Argv[0], '/');
+    std::cerr << "usage: " << (Slash ? Slash + 1 : Argv[0])
+              << " [suite_size]" << (Jobs ? " [--jobs N]" : "") << "\n";
+    std::exit(1);
   }
-
-  const double OptPct =
-      Total.All ? 100.0 * static_cast<double>(Total.Opt) /
-                      static_cast<double>(Total.All)
-                : 0.0;
-  const double TimeRatio =
-      Total.SumMII
-          ? static_cast<double>(Total.SumII) /
-                static_cast<double>(Total.SumMII)
-          : 0.0;
-  OS << "\nHeadline: " << formatNumber(OptPct, 1)
-     << "% of loops at II = MII; overall execution time "
-     << formatNumber(TimeRatio, 3) << "x the absolute minimum\n";
+  return Size > 0 ? Size : Default;
 }

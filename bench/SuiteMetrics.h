@@ -1,10 +1,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared plumbing for the benchmark harnesses that regenerate the paper's
-/// tables and figures: per-loop static analysis (Table 2 metrics),
-/// per-scheduler outcomes (II, MaxLive, MinAvg, ICR usage, statistics),
-/// and the Table 3/4 performance printer.
+/// Shared plumbing for the benchmark harnesses: per-scheduler outcomes
+/// (II, MaxLive, MinAvg, ICR usage, statistics) and the suite-size
+/// argument parser.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,28 +13,7 @@
 #include "core/ModuloScheduler.h"
 #include "ir/LoopBody.h"
 
-#include <iosfwd>
-#include <string>
-#include <vector>
-
 namespace lsms {
-
-/// Schedule-independent per-loop metrics (Table 2).
-struct LoopAnalysis {
-  std::string Name;
-  int Ops = 0;            ///< machine operations (incl. brtop)
-  int BasicBlocks = 1;    ///< source basic blocks before if-conversion
-  int CriticalOps = 0;    ///< critical operations at MII
-  int RecurrenceOps = 0;  ///< operations on non-trivial recurrence circuits
-  int DivOps = 0;         ///< div/mod/sqrt operations
-  int ResMII = 1;
-  int RecMII = 1;
-  int MII = 1;
-  long MinAvgAtMII = 0;
-  int Gprs = 0;
-  bool HasConditional = false;
-  bool HasRecurrence = false;
-};
 
 /// One scheduler's outcome on one loop.
 struct SchedOutcome {
@@ -51,27 +29,18 @@ struct SchedOutcome {
   ScheduleStats Stats;
 };
 
-/// Computes the Table 2 metrics of one loop.
-LoopAnalysis analyzeLoop(const LoopBody &Body, const MachineModel &Machine);
-
 /// Schedules one loop and derives the pressure metrics.
 SchedOutcome runScheduler(const LoopBody &Body, const MachineModel &Machine,
                           const SchedulerOptions &Options);
 
-/// Suite size from argv: the first positional argument overrides the
-/// paper's 1,525 for quick runs ("--jobs N" pairs are skipped).
-int suiteSizeFromArgs(int Argc, char **Argv, int Default = 1525);
-
-/// Parses an optional "--jobs N" flag anywhere in argv. Returns the
-/// requested worker count, or 0 (= LSMS_JOBS / hardware default) when the
-/// flag is absent or malformed; feed the result to resolveJobs().
-int jobsFromArgs(int Argc, char **Argv);
-
-/// Prints a Table 3/4-style performance table: per-class optimality, total
-/// II vs total MII, and the II > MII tail distribution.
-void printPerformanceTable(std::ostream &OS, const std::string &Title,
-                           const std::vector<LoopAnalysis> &Analyses,
-                           const std::vector<SchedOutcome> &Outcomes);
+/// Parses argv as "[suite_size]" and returns the suite size, or \p Default
+/// when it is absent. With a non-null \p Jobs, "--jobs N" is accepted too
+/// and N stored there (0, the default, means LSMS_JOBS or the hardware;
+/// feed it to resolveJobs()). Anything else -- a size that is not a
+/// positive integer, a second size, a flag without its value, or any other
+/// flag -- prints a usage line and exits with status 1.
+int suiteSizeFromArgs(int Argc, char **Argv, int Default = 1525,
+                      int *Jobs = nullptr);
 
 } // namespace lsms
 

@@ -1,18 +1,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Deterministic work-sharded parallel-for for the embarrassingly parallel
-/// sweeps (oracle runs, suite scheduling, bench harnesses).
+/// Deterministic parallel-for for the embarrassingly parallel sweeps
+/// (oracle runs, suite scheduling, bench harnesses).
 ///
-/// Policy (see DESIGN.md, "Parallelism & determinism"): sharding is static
-/// and index-ordered — worker W owns the indices congruent to W modulo the
-/// worker count — so the index->worker assignment never depends on timing.
-/// Workers communicate only through disjoint result slots indexed by the
-/// loop index; callers merge/aggregate sequentially in input order after
+/// Policy (see DESIGN.md, "Parallelism & determinism"): workers claim the
+/// next unclaimed index from a shared atomic counter, so a few slow indices
+/// never pin the rest of a fixed shard behind them. Which worker runs an
+/// index therefore depends on timing, and nothing else may: workers
+/// communicate only through disjoint result slots indexed by the loop
+/// index, and callers merge/aggregate sequentially in input order after
 /// the join. Any randomness must be seeded per loop index, never drawn
-/// from a stream shared across workers. Under this discipline every
-/// result, report, and table is byte-identical for all job counts, and
-/// Jobs=1 executes the plain sequential loop on the caller's thread.
+/// from a stream shared across workers, and bodies keep no per-thread
+/// state. Under this discipline every result, report, and table is
+/// byte-identical for all job counts, and Jobs=1 executes the plain
+/// sequential loop on the caller's thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +22,7 @@
 #define LSMS_SUPPORT_PARALLELFOR_H
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -46,11 +49,12 @@ inline int resolveJobs(int Requested) {
   return hardwareJobs();
 }
 
-/// Runs Body(I) for every I in [0, N) on at most \p Jobs threads with the
-/// static index-ordered sharding described above. \p Body is invoked
-/// concurrently for distinct indices and must only touch per-index state.
-/// Jobs <= 1 (or N <= 1) is the exact sequential path: no threads are
-/// created and Body runs in index order on the caller.
+/// Runs Body(I) for every I in [0, N) on at most \p Jobs threads, each
+/// claiming indices in increasing order from a shared counter as described
+/// above. \p Body is invoked concurrently for distinct indices and must
+/// only touch per-index state. Jobs <= 1 (or N <= 1) is the exact
+/// sequential path: no threads are created and Body runs in index order on
+/// the caller.
 template <typename Fn> void parallelFor(int Jobs, int N, Fn &&Body) {
   const int Workers = std::max(1, std::min(Jobs, N));
   if (Workers <= 1) {
@@ -58,14 +62,16 @@ template <typename Fn> void parallelFor(int Jobs, int N, Fn &&Body) {
       Body(I);
     return;
   }
+  std::atomic<int> Next{0};
   std::vector<std::jthread> Pool;
   Pool.reserve(static_cast<size_t>(Workers));
   for (int W = 0; W < Workers; ++W)
-    Pool.emplace_back([W, Workers, N, &Body] {
-      for (int I = W; I < N; I += Workers)
+    Pool.emplace_back([&Next, N, &Body] {
+      for (int I = Next++; I < N; I = Next++)
         Body(I);
     });
-  // ~jthread joins every worker before the pool goes out of scope.
+  // ~jthread joins every worker before the pool (declared after Next) goes
+  // out of scope.
 }
 
 } // namespace lsms

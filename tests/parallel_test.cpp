@@ -1,5 +1,5 @@
 //===----------------------------------------------------------------------===//
-/// \file Tests for the work-sharding primitive and the determinism policy
+/// \file Tests for the parallel-for primitive and the determinism policy
 /// it exists to uphold (DESIGN.md "Parallelism & determinism"): every sweep
 /// that fans out across workers must produce byte-identical reports at any
 /// job count, because results live in per-index slots and are aggregated in
@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 namespace lsms {
@@ -51,6 +53,27 @@ TEST(ParallelForTest, JobsClampedToWorkAvailable) {
   parallelFor(16, 3, [&](int I) { ++Hits[static_cast<size_t>(I)]; });
   for (size_t I = 0; I < Hits.size(); ++I)
     EXPECT_EQ(Hits[I].load(), 1);
+}
+
+TEST(ParallelForTest, SlowIndexDoesNotHoldBackTheRest) {
+  // Workers claim indices from a shared counter, so while index 0 is busy
+  // the other worker runs every remaining index. Under static sharding
+  // (worker W owning I = W mod 2) index 2 would wait behind index 0.
+  constexpr int N = 16;
+  std::atomic<int> Done{0};
+  bool RestFinishedFirst = false;
+  parallelFor(2, N, [&](int I) {
+    if (I != 0) {
+      ++Done;
+      return;
+    }
+    const auto Deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (Done.load() < N - 1 && std::chrono::steady_clock::now() < Deadline)
+      std::this_thread::yield();
+    RestFinishedFirst = Done.load() == N - 1;
+  });
+  EXPECT_TRUE(RestFinishedFirst);
 }
 
 TEST(ParallelForTest, ResolveJobsPrecedence) {
