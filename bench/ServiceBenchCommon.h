@@ -26,7 +26,8 @@ std::vector<std::string> serviceBenchCorpus(int RandomCount, uint64_t Seed);
 /// One seeded random loop-DSL program (exposed for the generator tests).
 std::string randomDslSource(uint64_t Seed);
 
-/// Cold/warm measurement over one service instance.
+/// Cold/warm measurement: one pair of a cold pass and warm passes over a
+/// fresh service instance.
 struct ServiceBenchResult {
   int CorpusLoops = 0;   ///< distinct requests in the corpus
   int WarmPasses = 0;    ///< corpus repetitions measured as warm
@@ -44,14 +45,17 @@ struct ServiceBenchResult {
     const double Cold = coldLoopsPerSec(), Warm = warmLoopsPerSec();
     return Cold > 0 ? Warm / Cold : 0;
   }
-  double HitRate = 0;   ///< cache hit rate over the whole run
+  double HitRate = 0;   ///< cache hit rate over the pair
   long Hits = 0, Misses = 0;
   int64_t P50Us = 0, P99Us = 0; ///< request latency percentiles
   int Errors = 0;               ///< non-Ok responses (should be 0)
 };
 
-/// Runs the corpus through a fresh SchedulingService: one timed cold pass,
-/// then \p WarmPasses timed repetitions. Every request uses \p Engine.
+/// Runs the corpus through five fresh SchedulingService instances. Each
+/// times one cold pass, then warm passes until at least \p WarmPasses of
+/// them have run and they have lasted at least 10 ms, so the warm side is
+/// never a ~1 ms phase. Returns the pair with the median warm speedup;
+/// Errors counts every pair. Every request uses \p Engine.
 ServiceBenchResult runServiceBench(const std::vector<std::string> &Corpus,
                                    ServiceEngine Engine, int WarmPasses,
                                    const ServiceConfig &Config);

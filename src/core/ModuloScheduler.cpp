@@ -2,6 +2,7 @@
 
 #include "bounds/Bounds.h"
 #include "bounds/Lifetimes.h"
+#include "core/BoundsTracker.h"
 #include "core/FuAssignment.h"
 #include "graph/MinDist.h"
 #include "graph/Scc.h"
@@ -24,7 +25,6 @@ double secondsSince(Clock::time_point T0) {
   return std::chrono::duration<double>(Clock::now() - T0).count();
 }
 
-constexpr long Unbounded = LONG_MAX / 4;
 constexpr int NeverPlaced = INT_MIN / 2;
 
 /// One scheduling attempt at a fixed II.
@@ -38,17 +38,14 @@ public:
       : Graph(Graph), Body(Graph.body()), Machine(Graph.machine()),
         Options(Options), MinDist(MinDist), II(II), ResMII(ResMII),
         FuInstance(FuInstance), OnRecurrence(OnRecurrence), Stats(Stats),
-        StopPad(StopPad), Mrt(Machine, II) {}
+        Mrt(Machine, II),
+        Bounds(MinDist, Body.startOp(), Body.stopOp(), II, ResMII, StopPad,
+               Times) {}
 
   /// Runs the central loop; on success fills \p Times.
   bool run(std::vector<int> &TimesOut);
 
 private:
-  // -- Bounds maintenance (Section 4.1) ----------------------------------
-  void refreshBounds();
-  long estartOf(int X) const;
-  long lstartOf(int X) const;
-
   // -- Step 1: operation choice (Section 4.3) ----------------------------
   int chooseOperation();
   long dynamicPriority(int X) const;
@@ -78,25 +75,18 @@ private:
   const std::vector<int> &FuInstance;
   const std::vector<bool> &OnRecurrence;
   ScheduleStats &Stats;
-  const long StopPad; ///< straight-line mode: additive Lstart(Stop) pad
-
-  /// Lstart(Stop) policy: the paper's rule, or Estart+pad in straight-line
-  /// mode.
-  long stopCapFor(long EstartStop) const {
-    if (StopPad >= 0)
-      return EstartStop + StopPad;
-    return ResMII == 1 ? EstartStop : ((EstartStop + II - 1) / II) * II;
-  }
 
   ModuloResourceTable Mrt;
   std::vector<int> Times;    ///< -1 when unplaced (Start held at 0)
   std::vector<int> LastTime; ///< last placement, NeverPlaced initially
-  std::vector<long> Estart;
-  std::vector<long> Lstart;
+  /// Estart/Lstart (Sections 4.1, 4.2), brought up to date after every
+  /// central-loop step.
+  BoundsTracker Bounds;
   std::vector<long> StaticPriority;
   std::vector<bool> Critical;
   std::vector<long> MinLT; ///< per value, at this II
-  long LstartStop = 0;
+  /// Per op: another operation reads its result (Section 5.2's outputs).
+  std::vector<bool> ResultReadElsewhere;
   long EjectionsThisAttempt = 0;
 };
 
@@ -104,8 +94,6 @@ bool AttemptScheduler::run(std::vector<int> &TimesOut) {
   const int N = Body.numOps();
   Times.assign(static_cast<size_t>(N), -1);
   LastTime.assign(static_cast<size_t>(N), NeverPlaced);
-  Estart.assign(static_cast<size_t>(N), 0);
-  Lstart.assign(static_cast<size_t>(N), Unbounded);
 
   Critical = markCriticalOps(Body, Machine, II);
 
@@ -114,24 +102,33 @@ bool AttemptScheduler::run(std::vector<int> &TimesOut) {
     if (V.Class != RegClass::GPR)
       MinLT[static_cast<size_t>(V.Id)] = computeMinLT(Graph, MinDist, V.Id);
 
-  // Start is fixed at cycle 0 (Section 4.1).
+  // An op's result value names it as Def, so a read by any other op marks
+  // the defining op.
+  ResultReadElsewhere.assign(static_cast<size_t>(N), false);
+  for (const Operation &Op : Body.Ops) {
+    const auto Mark = [&](int ValueId) {
+      const int Def = Body.value(ValueId).Def;
+      if (Def >= 0 && Def != Op.Id)
+        ResultReadElsewhere[static_cast<size_t>(Def)] = true;
+    };
+    for (const Use &U : Op.Operands)
+      Mark(U.Value);
+    if (Op.PredValue >= 0)
+      Mark(Op.PredValue);
+  }
+
+  // Start is fixed at cycle 0 (Section 4.1); the tracker sets Lstart(Stop)
+  // from the empty schedule (Section 4.2).
   Times[static_cast<size_t>(Body.startOp())] = 0;
-
-  // Lstart(Stop): meet the critical path exactly when there is no resource
-  // contention, otherwise round up to a whole number of stages to provide
-  // extra slack and lessen backtracking (Section 4.2).
-  const long EstartStop0 = MinDist.at(Body.startOp(), Body.stopOp());
-  LstartStop = stopCapFor(EstartStop0);
-
-  refreshBounds();
+  Bounds.start();
 
   if (!Options.DynamicPriority) {
     // Cydrome's static priority: the operation's slack in the empty
     // schedule, with the same halving refinements.
     StaticPriority.assign(static_cast<size_t>(N), 0);
     for (int X = 0; X < N; ++X)
-      StaticPriority[static_cast<size_t>(X)] = applyHalving(
-          X, Lstart[static_cast<size_t>(X)] - Estart[static_cast<size_t>(X)]);
+      StaticPriority[static_cast<size_t>(X)] =
+          applyHalving(X, Bounds.lstart(X) - Bounds.estart(X));
   }
 
   const long Budget =
@@ -162,65 +159,12 @@ bool AttemptScheduler::run(std::vector<int> &TimesOut) {
         return false; // step 6: start over at a larger II
     }
 
-    refreshBounds();
+    Bounds.refresh();
   }
 
   TimesOut = Times;
   TimesOut[static_cast<size_t>(Body.startOp())] = 0;
   return true;
-}
-
-void AttemptScheduler::refreshBounds() {
-  // Recompute Estart/Lstart of unplaced operations from the placed set via
-  // MinDist (Section 4.4 notes this is O(placed * unplaced); exactly what
-  // we do). Also apply the Lstart(Stop) control and its reset rule
-  // (Section 4.2).
-  const int N = Body.numOps();
-  const int Stop = Body.stopOp();
-
-  // Reset rule for Lstart(Stop): only when Estart(Stop) is pushed beyond it
-  // (or beyond Stop's current placement, which ejection handles).
-  long EstartStop = 0;
-  for (int Y = 0; Y < N; ++Y) {
-    if (!isPlaced(Y) || !MinDist.connected(Y, Stop))
-      continue;
-    EstartStop = std::max(EstartStop, Times[static_cast<size_t>(Y)] +
-                                          MinDist.at(Y, Stop));
-  }
-  if (EstartStop > LstartStop)
-    LstartStop = stopCapFor(EstartStop);
-
-  for (int X = 0; X < N; ++X) {
-    if (isPlaced(X))
-      continue;
-    Estart[static_cast<size_t>(X)] = estartOf(X);
-    Lstart[static_cast<size_t>(X)] = lstartOf(X);
-  }
-}
-
-long AttemptScheduler::estartOf(int X) const {
-  long E = 0; // Start at cycle 0 reaches everything with MinDist >= 0
-  for (int Y = 0; Y < Body.numOps(); ++Y) {
-    if (!isPlaced(Y) || !MinDist.connected(Y, X))
-      continue;
-    E = std::max(E, Times[static_cast<size_t>(Y)] + MinDist.at(Y, X));
-  }
-  return E;
-}
-
-long AttemptScheduler::lstartOf(int X) const {
-  const int Stop = Body.stopOp();
-  long L = Unbounded;
-  if (X == Stop)
-    L = LstartStop;
-  else if (!isPlaced(Stop) && MinDist.connected(X, Stop))
-    L = LstartStop - MinDist.at(X, Stop);
-  for (int Y = 0; Y < Body.numOps(); ++Y) {
-    if (!isPlaced(Y) || !MinDist.connected(X, Y))
-      continue;
-    L = std::min(L, Times[static_cast<size_t>(Y)] - MinDist.at(X, Y));
-  }
-  return L;
 }
 
 long AttemptScheduler::applyHalving(int X, long Slack) const {
@@ -233,9 +177,7 @@ long AttemptScheduler::applyHalving(int X, long Slack) const {
 }
 
 long AttemptScheduler::dynamicPriority(int X) const {
-  const long Slack =
-      Lstart[static_cast<size_t>(X)] - Estart[static_cast<size_t>(X)];
-  return applyHalving(X, Slack);
+  return applyHalving(X, Bounds.lstart(X) - Bounds.estart(X));
 }
 
 int AttemptScheduler::chooseOperation() {
@@ -250,7 +192,7 @@ int AttemptScheduler::chooseOperation() {
     const long Prio = Options.DynamicPriority
                           ? dynamicPriority(X)
                           : StaticPriority[static_cast<size_t>(X)];
-    const long L = Lstart[static_cast<size_t>(X)];
+    const long L = Bounds.lstart(X);
     if (std::tie(Tier, Prio, L) < std::tie(BestTier, BestPrio, BestLstart)) {
       Best = X;
       BestTier = Tier;
@@ -281,10 +223,9 @@ bool AttemptScheduler::placeEarlyHeuristic(int X) const {
     if (std::find(Seen.begin(), Seen.end(), U.Value) != Seen.end())
       return;
     Seen.push_back(U.Value);
-    const long Pinned = Estart[static_cast<size_t>(V.Def)] +
-                        MinLT[static_cast<size_t>(U.Value)];
-    const long Reach = static_cast<long>(U.Omega) * II +
-                       Lstart[static_cast<size_t>(X)];
+    const long Pinned =
+        Bounds.estart(V.Def) + MinLT[static_cast<size_t>(U.Value)];
+    const long Reach = static_cast<long>(U.Omega) * II + Bounds.lstart(X);
     if (Pinned < Reach)
       ++NumIn;
   };
@@ -296,15 +237,11 @@ bool AttemptScheduler::placeEarlyHeuristic(int X) const {
   // Outputs: in SSA form, placing the operation early stretches its result
   // lifetime; a self-recurrence-only result has fixed length and does not
   // count.
-  int NumOut = 0;
-  if (Op.Result >= 0 && Body.value(Op.Result).Class == RegClass::RR) {
-    for (const LoopBody::UseSite &Site : Body.usesOf(Op.Result)) {
-      if (Site.Op == X)
-        continue;
-      NumOut = 1;
-      break;
-    }
-  }
+  const int NumOut = Op.Result >= 0 &&
+                             Body.value(Op.Result).Class == RegClass::RR &&
+                             ResultReadElsewhere[static_cast<size_t>(X)]
+                         ? 1
+                         : 0;
 
   // No stretchable flow dependences either way: place early to minimize
   // the overall schedule length.
@@ -345,8 +282,8 @@ bool AttemptScheduler::placeEarlyHeuristic(int X) const {
 }
 
 bool AttemptScheduler::findIssueCycle(int X, long &CycleOut) const {
-  const long EstartX = Estart[static_cast<size_t>(X)];
-  const long LstartX = Lstart[static_cast<size_t>(X)];
+  const long EstartX = Bounds.estart(X);
+  const long LstartX = Bounds.lstart(X);
   if (EstartX > LstartX)
     return false;
 
@@ -386,7 +323,7 @@ bool AttemptScheduler::forcePlace(int X) {
   if (Machine.reservationCycles(Op.Opc) > II)
     return false; // can never hold this op at this II (non-pipelined)
 
-  long F = std::max(Estart[static_cast<size_t>(X)],
+  long F = std::max(Bounds.estart(X),
                     static_cast<long>(LastTime[static_cast<size_t>(X)]) + 1);
 
   // brtop cannot be ejected: search successive cycles until the forced slot
@@ -460,6 +397,7 @@ void AttemptScheduler::place(int X, int Cycle) {
             FuInstance[static_cast<size_t>(X)], Cycle);
   Times[static_cast<size_t>(X)] = Cycle;
   LastTime[static_cast<size_t>(X)] = Cycle;
+  Bounds.placed(X);
   ++Stats.Placements;
 }
 
@@ -469,6 +407,7 @@ void AttemptScheduler::eject(int Y) {
              FuInstance[static_cast<size_t>(Y)],
              Times[static_cast<size_t>(Y)]);
   Times[static_cast<size_t>(Y)] = -1;
+  Bounds.ejected(Y);
   ++EjectionsThisAttempt;
   ++Stats.Ejections;
   Stats.Backtracked = true;

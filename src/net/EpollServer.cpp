@@ -299,8 +299,10 @@ void EpollServer::acceptPending(Shard &S) {
     }
     if (S.Draining ||
         ActiveConns.load(std::memory_order_relaxed) >= Config.MaxConnections) {
-      ::close(Fd);
+      // Count before the close the client sees, so its next metrics
+      // request already includes this rejection.
       Service.metrics().inc("net_rejected");
+      ::close(Fd);
       continue;
     }
     const int One = 1;
@@ -548,11 +550,12 @@ void EpollServer::closeConn(Shard &S, int Fd) {
   if (It == S.Conns.end())
     return;
   ::epoll_ctl(S.EpollFd, EPOLL_CTL_DEL, Fd, nullptr);
-  ::close(Fd);
-  S.Conns.erase(It);
+  // Update the gauge before the close the client sees, as for rejections.
   Service.metrics().set(
       "net_active_connections",
       ActiveConns.fetch_sub(1, std::memory_order_relaxed) - 1);
+  ::close(Fd);
+  S.Conns.erase(It);
 }
 
 void EpollServer::closeAllConns(Shard &S) {

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <map>
 #include <sstream>
+#include <utility>
 
 using namespace lsms;
 
@@ -17,32 +19,17 @@ struct Range {
   long Length = 0; ///< lifetime in cycles
 };
 
-/// True when colors (Cv, Cw) collide in a file of \p Size registers:
-/// instances j_v and j_w share a physical register when
-/// j_v - j_w == (Cv - Cw) mod Size, and their live intervals overlap when
-/// -LTv < (Sv - Sw) + m*II < LTw for m = j_v - j_w.
-bool colorsConflict(const Range &V, const Range &W, int Cv, int Cw, int Size,
-                    int II) {
+long floorDiv(long A, long B) { return A >= 0 ? A / B : -((-A + B - 1) / B); }
+long floorMod(long A, long B) { return A - floorDiv(A, B) * B; }
+
+/// The iteration distances m = j_v - j_w at which instance j_v of V and
+/// instance j_w of W are live at the same time, as the half-open range
+/// [first, second): -LTv < (Sv - Sw) + m*II < LTw.
+std::pair<long, long> overlapDistances(const Range &V, const Range &W,
+                                       int II) {
   const long Delta = V.Start - W.Start;
-  // Forbidden m interval: m*II in (-LTv - Delta, LTw - Delta).
-  const long LoNum = -V.Length - Delta; // exclusive
-  const long HiNum = W.Length - Delta;  // exclusive
-  // Smallest integer m with m*II > LoNum:
-  long MLo = LoNum >= 0 ? LoNum / II + 1
-                        : -((-LoNum) / II); // floor(LoNum/II) + 1 in effect
-  while (MLo * II <= LoNum)
-    ++MLo;
-  while ((MLo - 1) * II > LoNum)
-    --MLo;
-  const bool SameValue = V.Value == W.Value;
-  const long D = (((Cv - Cw) % Size) + Size) % Size;
-  for (long M = MLo; M * II < HiNum; ++M) {
-    if (SameValue && M == 0)
-      continue; // a value never conflicts with its own instance
-    if (((M % Size) + Size) % Size == D)
-      return true;
-  }
-  return false;
+  return {floorDiv(-V.Length - Delta, II) + 1,
+          -floorDiv(Delta - W.Length, II)};
 }
 
 std::vector<Range> collectRanges(const LoopBody &Body,
@@ -95,23 +82,33 @@ void orderRanges(std::vector<Range> &Ranges, AllocOrder Order) {
 }
 
 /// First-fit coloring of \p Ranges into a file of \p Size registers;
-/// returns false when some range cannot be colored.
+/// returns false when some range cannot be colored. Instances j_v, j_w of
+/// ranges V, W share a physical register when j_v - j_w == (Cv - Cw) mod
+/// Size, so every distance m at which they overlap forbids V the color
+/// (Cw + m) mod Size. A range colliding with its own instances (some
+/// overlap at m != 0 with m == 0 mod Size) does so under every color.
 bool colorRanges(const std::vector<Range> &Ranges, int Size, int II,
                  std::vector<int> &Color) {
   Color.assign(Ranges.size(), -1);
+  // ForbiddenFor[C] == I marks color C taken for range I.
+  std::vector<size_t> ForbiddenFor(static_cast<size_t>(Size), SIZE_MAX);
   for (size_t I = 0; I < Ranges.size(); ++I) {
-    int Chosen = -1;
-    for (int C = 0; C < Size && Chosen < 0; ++C) {
-      bool Free = !colorsConflict(Ranges[I], Ranges[I], C, C, Size, II);
-      for (size_t J = 0; J < I && Free; ++J)
-        if (colorsConflict(Ranges[I], Ranges[J], C, Color[J], Size, II))
-          Free = false;
-      if (Free)
-        Chosen = C;
+    const auto [SelfLo, SelfHi] = overlapDistances(Ranges[I], Ranges[I], II);
+    for (long M = SelfLo; M < SelfHi; ++M)
+      if (M != 0 && M % Size == 0)
+        return false;
+    for (size_t J = 0; J < I; ++J) {
+      const auto [Lo, Hi] = overlapDistances(Ranges[I], Ranges[J], II);
+      // Size consecutive distances already forbid every color.
+      for (long M = Lo; M < std::min(Hi, Lo + Size); ++M)
+        ForbiddenFor[static_cast<size_t>(floorMod(Color[J] + M, Size))] = I;
     }
-    if (Chosen < 0)
+    int C = 0;
+    while (C < Size && ForbiddenFor[static_cast<size_t>(C)] == I)
+      ++C;
+    if (C == Size)
       return false;
-    Color[I] = Chosen;
+    Color[I] = C;
   }
   return true;
 }

@@ -3,6 +3,7 @@
 /// (verified by occupancy simulation) and nearness to the MaxLive bound.
 //===----------------------------------------------------------------------===//
 
+#include "bounds/Lifetimes.h"
 #include "core/ModuloScheduler.h"
 #include "exact/ExactEngine.h"
 #include "ir/IRBuilder.h"
@@ -13,9 +14,125 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace lsms;
 
 namespace {
+
+/// The allocator's first-fit as it first shipped: every candidate color is
+/// checked against every earlier range, pair by pair. The library marks
+/// forbidden colors in one pass instead; the two must agree exactly.
+namespace pairwise {
+
+struct Range {
+  int Value = -1;
+  long Start = 0;
+  long Length = 0;
+};
+
+bool colorsConflict(const Range &V, const Range &W, int Cv, int Cw, int Size,
+                    int II) {
+  const long Delta = V.Start - W.Start;
+  const long LoNum = -V.Length - Delta; // exclusive
+  const long HiNum = W.Length - Delta;  // exclusive
+  long MLo = LoNum >= 0 ? LoNum / II + 1 : -((-LoNum) / II);
+  while (MLo * II <= LoNum)
+    ++MLo;
+  while ((MLo - 1) * II > LoNum)
+    --MLo;
+  const bool SameValue = V.Value == W.Value;
+  const long D = (((Cv - Cw) % Size) + Size) % Size;
+  for (long M = MLo; M * II < HiNum; ++M) {
+    if (SameValue && M == 0)
+      continue;
+    if (((M % Size) + Size) % Size == D)
+      return true;
+  }
+  return false;
+}
+
+bool colorRanges(const std::vector<Range> &Ranges, int Size, int II,
+                 std::vector<int> &Color) {
+  Color.assign(Ranges.size(), -1);
+  for (size_t I = 0; I < Ranges.size(); ++I) {
+    int Chosen = -1;
+    for (int C = 0; C < Size && Chosen < 0; ++C) {
+      bool Free = !colorsConflict(Ranges[I], Ranges[I], C, C, Size, II);
+      for (size_t J = 0; J < I && Free; ++J)
+        if (colorsConflict(Ranges[I], Ranges[J], C, Color[J], Size, II))
+          Free = false;
+      if (Free)
+        Chosen = C;
+    }
+    if (Chosen < 0)
+      return false;
+    Color[I] = Chosen;
+  }
+  return true;
+}
+
+AllocationResult allocate(const LoopBody &Body, const std::vector<int> &Times,
+                          int II, RegClass Class,
+                          const std::vector<ExtraRange> &Extra = {}) {
+  AllocationResult Result;
+  Result.Color.assign(static_cast<size_t>(Body.numValues()), -1);
+  Result.ExtraColor.assign(Extra.size(), -1);
+  const PressureInfo Info = computePressure(Body, Times, II, Class);
+  Result.MaxLive = Info.MaxLive;
+
+  std::vector<Range> Ranges;
+  for (const Value &V : Body.Values)
+    if (V.Class == Class && Info.Length[static_cast<size_t>(V.Id)] > 0)
+      Ranges.push_back({V.Id, Times[static_cast<size_t>(V.Def)],
+                        Info.Length[static_cast<size_t>(V.Id)]});
+  for (size_t E = 0; E < Extra.size(); ++E)
+    Ranges.push_back(
+        {-2 - static_cast<int>(E), Extra[E].Start, Extra[E].Length});
+  if (Ranges.empty()) {
+    Result.Success = true;
+    return Result;
+  }
+
+  // Start time, longest first, end time: the three orderings, tried in
+  // this order at each file size from MaxLive up.
+  const auto ByStart = [](const Range &A, const Range &B) {
+    return A.Start != B.Start ? A.Start < B.Start : A.Length > B.Length;
+  };
+  const auto ByLength = [](const Range &A, const Range &B) {
+    return A.Length != B.Length ? A.Length > B.Length : A.Start < B.Start;
+  };
+  const auto ByEnd = [](const Range &A, const Range &B) {
+    return A.Start + A.Length < B.Start + B.Length;
+  };
+  for (int Size = std::max<long>(1, Result.MaxLive); Size <= 4096; ++Size) {
+    for (int Order = 0; Order < 3; ++Order) {
+      std::vector<Range> Ordered = Ranges;
+      if (Order == 0)
+        std::stable_sort(Ordered.begin(), Ordered.end(), ByStart);
+      else if (Order == 1)
+        std::stable_sort(Ordered.begin(), Ordered.end(), ByLength);
+      else
+        std::stable_sort(Ordered.begin(), Ordered.end(), ByEnd);
+      std::vector<int> Color;
+      if (!colorRanges(Ordered, Size, II, Color))
+        continue;
+      Result.Success = true;
+      Result.FileSize = Size;
+      for (size_t I = 0; I < Ordered.size(); ++I) {
+        if (Ordered[I].Value >= 0)
+          Result.Color[static_cast<size_t>(Ordered[I].Value)] = Color[I];
+        else
+          Result.ExtraColor[static_cast<size_t>(-2 - Ordered[I].Value)] =
+              Color[I];
+      }
+      return Result;
+    }
+  }
+  return Result;
+}
+
+} // namespace pairwise
 
 const MachineModel &machine() {
   static MachineModel M = MachineModel::cydra5();
@@ -156,3 +273,38 @@ TEST_P(RandomAllocProperty, ConflictFreeAndNearBound) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomAllocProperty,
                          ::testing::Range(1, 41));
+
+// The one-pass first fit reproduces the pairwise reference's file size and
+// every color, for RR and for ICR with the kernel's stage-predicate chain
+// co-allocated (as generateKernelCode allocates them). The suite's first
+// 300 loops include all 43 kernels.
+TEST(RotatingAllocator, MatchesPairwiseFirstFitReference) {
+  int Compared = 0;
+  for (const LoopBody &Body : buildFullSuite(300)) {
+    const Schedule Sched = scheduleLoop(Body, machine());
+    if (!Sched.Success)
+      continue;
+    const int StageCount =
+        std::max(1, (Sched.length() + Sched.II - 1) / Sched.II);
+    const std::vector<ExtraRange> StageChain = {
+        {-1, static_cast<long>(StageCount) * Sched.II + 1}};
+    const AllocationResult RR =
+        allocateRotating(Body, Sched.Times, Sched.II, RegClass::RR);
+    const AllocationResult RRRef =
+        pairwise::allocate(Body, Sched.Times, Sched.II, RegClass::RR);
+    const AllocationResult ICR = allocateRotating(
+        Body, Sched.Times, Sched.II, RegClass::ICR, 4096, StageChain);
+    const AllocationResult ICRRef = pairwise::allocate(
+        Body, Sched.Times, Sched.II, RegClass::ICR, StageChain);
+    for (const auto &[Got, Want] : {std::pair(&RR, &RRRef),
+                                    std::pair(&ICR, &ICRRef)}) {
+      ASSERT_EQ(Got->Success, Want->Success) << Body.Name;
+      EXPECT_EQ(Got->FileSize, Want->FileSize) << Body.Name;
+      EXPECT_EQ(Got->Color, Want->Color) << Body.Name;
+      EXPECT_EQ(Got->ExtraColor, Want->ExtraColor) << Body.Name;
+      EXPECT_EQ(Got->MaxLive, Want->MaxLive) << Body.Name;
+    }
+    ++Compared;
+  }
+  EXPECT_GE(Compared, 290);
+}
