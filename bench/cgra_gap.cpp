@@ -8,6 +8,9 @@
 ///                 [--min-ops N] [--max-ops N] [--no-kernels]
 ///                 [--conflict-budget N]
 ///
+/// --conflict-budget caps the CDCL conflicts of each II rung; N <= 0 gives
+/// up before any search.
+///
 /// Exits nonzero when any mapping fails validation or the two mappers
 /// contradict each other (heuristic II below a proven-optimal II, or a
 /// heuristic mapping for a loop SAT proved unmappable).

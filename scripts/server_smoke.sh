@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke for the socket front end + persistent store:
 #   1. boot schedule_server on an ephemeral port with a fresh store,
-#   2. drive it with the load generator over real sockets,
+#   2. send it sources nested far past the parser's depth bound (each must
+#      come back as a compile_error), then drive it with the load generator
+#      over real sockets — which also proves the server survived,
 #   3. SIGTERM and verify the graceful-drain handshake (exit 0),
 #   4. restart on the same store and verify the warm run recovers records
 #      and answers without errors or sheds,
@@ -73,6 +75,32 @@ run_load() {
   }
 }
 
+send_hostile() {
+  # The three hostile nesting shapes that fit under the server's 1 MiB line
+  # cap: 100,000 nested parentheses (~200 KB), a 100,000-term sum (~700 KB)
+  # and 100,000 unary minus signs (~100 KB).
+  python3 - "$PORT" <<'PY'
+import json, socket, sys
+
+n = 100000
+shapes = {
+    "parentheses": "(" * n + "y[i]" + ")" * n,
+    "sum": " + ".join(["y[i]"] * n),
+    "unary minus": "-" * n + "y[i]",
+}
+with socket.create_connection(("127.0.0.1", int(sys.argv[1]))) as conn:
+    stream = conn.makefile("rwb")
+    for name, rhs in shapes.items():
+        source = "loop i = 2, n\n  x[i] = " + rhs + "\nend"
+        stream.write((json.dumps({"source": source}) + "\n").encode())
+        stream.flush()
+        response = stream.readline().decode()
+        if '"error_code":"compile_error"' not in response:
+            sys.exit("server_smoke: nested %s got %r" % (name, response[:200]))
+        print("nested %s: compile_error" % name)
+PY
+}
+
 run_open_load() {
   # Open-arrival sanity: a couple hundred persistent connections of
   # Poisson slack traffic against the warm server. Everything must be
@@ -99,6 +127,7 @@ run_open_load() {
 
 echo "== cold pass =="
 start_server
+send_hostile
 run_load
 stop_server
 

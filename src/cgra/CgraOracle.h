@@ -28,7 +28,7 @@ namespace lsms {
 
 struct CgraExactOptions {
   /// CDCL conflict budget per II rung (refinement rounds included);
-  /// negative = unlimited.
+  /// <= 0 gives up before any search.
   long ConflictBudget = 1L << 16;
   IICapPolicy IICap;
 };

@@ -3,6 +3,7 @@
 #include "bounds/Bounds.h"
 #include "bounds/Lifetimes.h"
 #include "machine/ModuloResourceTable.h"
+#include "sat/ResidueSpace.h"
 
 #include <algorithm>
 #include <cassert>
@@ -14,16 +15,6 @@ using namespace lsms;
 namespace {
 
 constexpr long NoPath = MinDistMatrix::NoPath;
-
-bool isPath(long W) { return W > NoPath / 2; }
-
-/// Smallest value >= C congruent to D modulo II. This is the tightening
-/// step: once both endpoints' residues are fixed, a dependence constraint
-/// t_y - t_x >= C can only be met at values congruent to
-/// rho_y - rho_x (mod II), so it sharpens to tighten(C, rho_y - rho_x).
-long tighten(long C, long D, long II) {
-  return C + (((D - C) % II + II) % II);
-}
 
 /// Branch-and-bound search over issue-cycle residues at a fixed II.
 ///
@@ -44,7 +35,7 @@ public:
       : Graph(Graph), Body(Graph.body()), Machine(Graph.machine()),
         MinDist(MinDist), FuInstance(FuInstance), NodeBudget(NodeBudget),
         Stop(Stop), II(MinDist.initiationInterval()), N(Body.numOps()),
-        Mrt(Machine, II) {}
+        Ops(Body, Machine), Mrt(Machine, II) {}
 
   /// Decides schedulability; fills \p TimesOut on success.
   ExactStatus solve(std::vector<int> &TimesOut, long &Nodes);
@@ -68,6 +59,7 @@ private:
   long pressureLowerBound(const std::vector<long> &T) const;
   void familyDfs(size_t Idx, const std::vector<long> &T);
   void evaluateFamilyMember();
+  long offerIncumbent(const std::vector<int> &Times);
 
   const DepGraph &Graph;
   const LoopBody &Body;
@@ -78,6 +70,7 @@ private:
   const std::atomic<bool> *Stop; ///< cooperative cancellation, may be null
   const int II;
   const int N;
+  const MachineOps Ops; ///< real ops ascending: family branch order
 
   ModuloResourceTable Mrt;
   Mode SearchMode = Mode::Feasibility;
@@ -101,7 +94,6 @@ private:
   /// member was evaluated). BestMaxLive can beat it only through an
   /// incumbent or canonical leaf issuing past the canonical makespan.
   long FamilyBest = LONG_MAX;
-  std::vector<int> RealOps;    ///< real ops ascending, family branch order
   std::vector<long> FamTime;   ///< per-op issue time of the member prefix
   std::vector<int> MemberBuf;  ///< materialized member, pseudo-ops derived
   std::vector<int> LeafBuf;    ///< pressure-leaf canonical times scratch
@@ -109,6 +101,16 @@ private:
   // tryPlace scratch: all uses finish before the recursive dfs call, so
   // one set of buffers serves every depth.
   std::vector<long> InBuf, OutBuf, ABuf, BBuf;
+
+  /// True when every real op of \p Times issues inside its static
+  /// [Estart, Lstart] window (canonical leaf times never precede Estart).
+  bool inWindows(const std::vector<int> &Times) const {
+    for (const int X : Ops.Real)
+      if (Times[static_cast<size_t>(X)] < EstartBuf[static_cast<size_t>(X)] ||
+          Times[static_cast<size_t>(X)] > LstartBuf[static_cast<size_t>(X)])
+        return false;
+    return true;
+  }
 
   /// True once the external stop token fires; folded into TimedOut so
   /// both report the budget-style "no claim" verdict.
@@ -123,10 +125,7 @@ private:
 
 void ExactSolver::buildOrder(Mode M) {
   SearchMode = M;
-  Order.clear();
-  for (int X = 0; X < N; ++X)
-    if (Machine.unitFor(Body.op(X).Opc) != FuKind::None)
-      Order.push_back(X);
+  Order = Ops.Real;
 
   // Static windows at this II: slack against the critical path. Most
   // constrained first keeps the tree narrow near the root. The shared
@@ -180,46 +179,23 @@ void ExactSolver::buildOrder(Mode M) {
         FlowArcsOf[static_cast<size_t>(Arc.Value)].push_back(I);
     }
     GlobalMinAvg = computeMinAvg(Graph, MinDist);
-    RealOps.clear();
-    for (int X = 0; X < N; ++X)
-      if (Machine.unitFor(Body.op(X).Opc) != FuKind::None)
-        RealOps.push_back(X);
     FamTime.assign(static_cast<size_t>(N), 0);
     FamilyBest = LONG_MAX;
   }
 }
 
 /// Canonical earliest issue times of a complete residue assignment:
-/// placed operations at their longest tightened path from Start; the
-/// pseudo-operations (Stop) at the earliest cycle consistent with every
-/// placed operation, which MinDist maximality shows always satisfies the
-/// remaining constraints.
+/// placed operations at their longest tightened path from Start, the
+/// pseudo-operations by placePseudoOps.
 void ExactSolver::leafTimes(const std::vector<long> &T,
                             std::vector<int> &TimesOut) const {
-  const int Start = Body.startOp();
   TimesOut.assign(static_cast<size_t>(N), 0);
-  for (int X = 0; X < N; ++X) {
-    if (X == Start)
-      continue;
-    if (Rho[static_cast<size_t>(X)] >= 0) {
-      const long TX = T[static_cast<size_t>(Start) * N + X];
-      assert(isPath(TX) && TX >= 0 && "placed op unreachable from Start");
-      TimesOut[static_cast<size_t>(X)] = static_cast<int>(TX);
-    }
-  }
-  for (int X = 0; X < N; ++X) {
-    if (X == Start || Rho[static_cast<size_t>(X)] >= 0)
-      continue;
-    long TX = std::max(0L, MinDist.at(Start, X));
-    for (int Y : Placed) {
-      if (!MinDist.connected(Y, X))
-        continue;
-      TX = std::max(TX, static_cast<long>(
-                            TimesOut[static_cast<size_t>(Y)]) +
-                            MinDist.at(Y, X));
-    }
+  for (const int X : Ops.Real) {
+    const long TX = T[static_cast<size_t>(Body.startOp()) * N + X];
+    assert(isPath(TX) && TX >= 0 && "placed op unreachable from Start");
     TimesOut[static_cast<size_t>(X)] = static_cast<int>(TX);
   }
+  placePseudoOps(Body, MinDist, Ops, TimesOut);
 }
 
 /// ceil(sum of per-value lifetime lower bounds / II) — the paper's MinAvg
@@ -247,7 +223,7 @@ long ExactSolver::pressureLowerBound(const std::vector<long> &T) const {
   return (Sum + II - 1) / II;
 }
 
-/// Enumerates the leaf family over RealOps[Idx..]: candidate times for an
+/// Enumerates the leaf family over Ops.Real[Idx..]: candidate times for an
 /// op are its canonical leaf time (pre-loaded in FamTime) plus multiples
 /// of II up to its static Lstart, checked pairwise against the assigned
 /// prefix through the closed tightened matrix \p T — which carries
@@ -258,11 +234,11 @@ long ExactSolver::pressureLowerBound(const std::vector<long> &T) const {
 void ExactSolver::familyDfs(size_t Idx, const std::vector<long> &T) {
   if (TimedOut || StopSearch || stopRequested())
     return;
-  if (Idx == RealOps.size()) {
+  if (Idx == Ops.Real.size()) {
     evaluateFamilyMember();
     return;
   }
-  const int X = RealOps[Idx];
+  const int X = Ops.Real[Idx];
   const long Base = FamTime[static_cast<size_t>(X)];
   for (long TX = Base; TX <= LstartBuf[static_cast<size_t>(X)]; TX += II) {
     if (TimedOut || StopSearch)
@@ -277,7 +253,7 @@ void ExactSolver::familyDfs(size_t Idx, const std::vector<long> &T) {
     // cured by a later candidate.
     bool TooLate = false, TooEarly = false;
     for (size_t J = 0; J < Idx && !TooLate && !TooEarly; ++J) {
-      const int Y = RealOps[J];
+      const int Y = Ops.Real[J];
       const long TY = FamTime[static_cast<size_t>(Y)];
       const long XY = T[static_cast<size_t>(X) * N + Y];
       const long YX = T[static_cast<size_t>(Y) * N + X];
@@ -296,35 +272,30 @@ void ExactSolver::familyDfs(size_t Idx, const std::vector<long> &T) {
   FamTime[static_cast<size_t>(X)] = Base; // restore for sibling branches
 }
 
-/// Scores one complete family member: pseudo-operations are re-derived at
-/// the earliest cycle consistent with the shifted real ops (they carry no
-/// operands, so they cannot change RR pressure), then the member competes
-/// for both the incumbent and the family minimum.
+/// Scores one complete family member: pseudo-operations are re-derived by
+/// placePseudoOps from the shifted real ops (they carry no operands, so
+/// they cannot change RR pressure), then the member competes for both the
+/// incumbent and the family minimum.
 void ExactSolver::evaluateFamilyMember() {
-  const int Start = Body.startOp();
   MemberBuf.assign(static_cast<size_t>(N), 0);
-  for (int X : RealOps)
+  for (const int X : Ops.Real)
     MemberBuf[static_cast<size_t>(X)] =
         static_cast<int>(FamTime[static_cast<size_t>(X)]);
-  for (int X = 0; X < N; ++X) {
-    if (X == Start || Rho[static_cast<size_t>(X)] >= 0)
-      continue;
-    long TX = std::max(0L, MinDist.at(Start, X));
-    for (int Y : RealOps)
-      if (MinDist.connected(Y, X))
-        TX = std::max(TX, FamTime[static_cast<size_t>(Y)] +
-                              MinDist.at(Y, X));
-    MemberBuf[static_cast<size_t>(X)] = static_cast<int>(TX);
-  }
-  const long MaxLive =
-      computeMaxLive(Body, MemberBuf, II, RegClass::RR, Pressure);
-  FamilyBest = std::min(FamilyBest, MaxLive);
+  placePseudoOps(Body, MinDist, Ops, MemberBuf);
+  FamilyBest = std::min(FamilyBest, offerIncumbent(MemberBuf));
+}
+
+/// Scores a complete schedule and keeps it when it beats the incumbent.
+/// Returns its MaxLive.
+long ExactSolver::offerIncumbent(const std::vector<int> &Times) {
+  const long MaxLive = computeMaxLive(Body, Times, II, RegClass::RR, Pressure);
   if (MaxLive < BestMaxLive) {
     BestMaxLive = MaxLive;
-    BestTimes = MemberBuf;
+    BestTimes = Times;
     if (BestMaxLive <= GlobalMinAvg)
       StopSearch = true; // met the paper's lower bound: proven optimal
   }
+  return MaxLive;
 }
 
 bool ExactSolver::tryPlace(int V, int Rho_, size_t Depth) {
@@ -421,22 +392,11 @@ bool ExactSolver::dfs(size_t Depth) {
     // at least as good as the earliest-time search found.
     std::vector<int> &Times = LeafBuf;
     leafTimes(TStack[Depth], Times);
-    bool InFamily = true;
-    for (int X : RealOps)
-      InFamily = InFamily && Times[static_cast<size_t>(X)] <=
-                                 LstartBuf[static_cast<size_t>(X)];
-    if (!InFamily) {
-      const long MaxLive =
-          computeMaxLive(Body, Times, II, RegClass::RR, Pressure);
-      if (MaxLive < BestMaxLive) {
-        BestMaxLive = MaxLive;
-        BestTimes = Times;
-        if (BestMaxLive <= GlobalMinAvg)
-          StopSearch = true; // met the paper's lower bound: proven optimal
-      }
+    if (!inWindows(Times)) {
+      offerIncumbent(Times);
       return false;
     }
-    for (int X : RealOps)
+    for (const int X : Ops.Real)
       FamTime[static_cast<size_t>(X)] = Times[static_cast<size_t>(X)];
     familyDfs(0, TStack[Depth]);
     return false;
@@ -505,17 +465,9 @@ ExactStatus ExactSolver::minimize(std::vector<int> &TimesInOut,
   // improvement — without this, a search whose bound prunes every
   // tying residue class would exhaust uncertified.
   if (TimesInOut.size() == static_cast<size_t>(N) &&
-      TimesInOut[static_cast<size_t>(Body.startOp())] == 0) {
-    bool SeedInFamily = true;
-    for (int X : RealOps)
-      SeedInFamily = SeedInFamily &&
-                     TimesInOut[static_cast<size_t>(X)] >=
-                         EstartBuf[static_cast<size_t>(X)] &&
-                     TimesInOut[static_cast<size_t>(X)] <=
-                         LstartBuf[static_cast<size_t>(X)];
-    if (SeedInFamily)
-      FamilyBest = BestMaxLive;
-  }
+      TimesInOut[static_cast<size_t>(Body.startOp())] == 0 &&
+      inWindows(TimesInOut))
+    FamilyBest = BestMaxLive;
   dfs(0);
   Nodes += NodesUsed;
   TimesInOut = BestTimes;

@@ -40,17 +40,13 @@ const char *lsms::exactEngineName(ExactEngineKind Engine) {
 }
 
 bool lsms::parseExactEngine(const char *Name, ExactEngineKind &Engine) {
-  if (std::strcmp(Name, "bnb") == 0) {
-    Engine = ExactEngineKind::BranchAndBound;
-    return true;
-  }
-  if (std::strcmp(Name, "sat") == 0) {
-    Engine = ExactEngineKind::Sat;
-    return true;
-  }
-  if (std::strcmp(Name, "portfolio") == 0) {
-    Engine = ExactEngineKind::Portfolio;
-    return true;
+  for (const ExactEngineKind Kind :
+       {ExactEngineKind::BranchAndBound, ExactEngineKind::Sat,
+        ExactEngineKind::Portfolio}) {
+    if (std::strcmp(Name, exactEngineName(Kind)) == 0) {
+      Engine = Kind;
+      return true;
+    }
   }
   return false;
 }
@@ -97,7 +93,7 @@ bool lsms::certifiedMaxLiveConsistent(long MaxLiveA, MaxLiveCertificate A,
 
 namespace {
 
-/// Folds one SAT engine's per-call counter deltas into the unified stats.
+/// Folds one SAT engine call's counter deltas into the unified stats.
 void accumulateSat(ExactEngineStats &Stats, const SatEngineStats &Sat) {
   Stats.Conflicts += Sat.Conflicts;
   Stats.Propagations += Sat.Propagations;
@@ -107,19 +103,6 @@ void accumulateSat(ExactEngineStats &Stats, const SatEngineStats &Sat) {
   Stats.Refinements += Sat.Refinements;
   Stats.SatVariables = Sat.Variables;
   Stats.SatClauses = Sat.Clauses;
-}
-
-/// Folds a MaxLive-certification run's counters into the unified stats.
-void accumulateMaxLiveSat(ExactEngineStats &Stats,
-                          const SatMaxLiveResult &R) {
-  Stats.Conflicts += R.Stats.Conflicts;
-  Stats.Propagations += R.Stats.Propagations;
-  Stats.Decisions += R.Stats.Decisions;
-  Stats.Restarts += R.Stats.Restarts;
-  Stats.LearnedClauses += R.Stats.Learned;
-  Stats.Refinements += R.Stats.Refinements;
-  Stats.SatVariables = R.Stats.Variables;
-  Stats.SatClauses = R.Stats.Clauses;
 }
 
 /// State shared across one II ladder: the functional-unit assignment is
@@ -186,7 +169,7 @@ ExactStatus runMaxLivePass(const DepGraph &Graph, const MinDistMatrix &MinDist,
   const SatMaxLiveResult R = minimizeMaxLiveSat(
       Graph, MinDist, FuInstance, Options.MaxLiveConflictBudget, MinAvg,
       MaxLive, Options.Stop);
-  accumulateMaxLiveSat(Stats, R);
+  accumulateSat(Stats, R.Stats);
   if (R.FamilyMin >= 0 && R.FamilyMin < MaxLive) {
     MaxLive = R.FamilyMin;
     Times = R.Times;
@@ -211,12 +194,11 @@ ExactStatus runMaxLivePass(const DepGraph &Graph, const MinDistMatrix &MinDist,
 }
 
 /// The fixed-II decision procedure behind solveAtII. \p Ctx carries the
-/// functional-unit assignment and the incremental SAT ladder across rungs;
-/// a null context gets a one-shot local one (same verdicts, no reuse).
+/// functional-unit assignment and the incremental SAT ladder across rungs.
 ExactStatus solveAtIIImpl(const DepGraph &Graph, int II,
                           const ExactOptions &Options, MinDistMatrix &MinDist,
                           std::vector<int> &TimesOut, ExactEngineStats &Stats,
-                          LadderContext *Ctx) {
+                          LadderContext &Ctx) {
   // Shared pre-checks: both engines assume a positive-cycle-free MinDist
   // relation and a reservation that fits, so verdicts can only differ if
   // one of the complete decision procedures is wrong.
@@ -229,19 +211,14 @@ ExactStatus solveAtIIImpl(const DepGraph &Graph, int II,
   for (const Operation &Op : Body.Ops)
     if (Machine.reservationCycles(Op.Opc) > II)
       return ExactStatus::Infeasible; // non-pipelined op cannot fit
-  std::unique_ptr<LadderContext> OwnCtx;
-  if (!Ctx) {
-    OwnCtx.reset(new LadderContext(Graph));
-    Ctx = OwnCtx.get();
-  }
 
   const auto RunBnB = [&]() {
-    return solveAtIIBranchAndBound(Graph, MinDist, Ctx->FuInstance,
+    return solveAtIIBranchAndBound(Graph, MinDist, Ctx.FuInstance,
                                    Options.NodeBudget, TimesOut, Stats.Nodes,
                                    Options.Stop);
   };
   const auto RunSat = [&]() {
-    SatIILadder &Ladder = Ctx->ladder(Graph);
+    SatIILadder &Ladder = Ctx.ladder(Graph);
     Ladder.setStopFlag(Options.Stop);
     SatEngineStats Sat;
     const SatScheduleStatus St =
@@ -301,8 +278,8 @@ ExactStatus lsms::solveAtII(const DepGraph &Graph, int II,
                             MinDistMatrix &MinDist,
                             std::vector<int> &TimesOut,
                             ExactEngineStats &Stats) {
-  return solveAtIIImpl(Graph, II, Options, MinDist, TimesOut, Stats,
-                       /*Ctx=*/nullptr);
+  LadderContext Ctx(Graph); // one-shot: same verdicts, no reuse
+  return solveAtIIImpl(Graph, II, Options, MinDist, TimesOut, Stats, Ctx);
 }
 
 ExactResult lsms::scheduleLoopExact(const DepGraph &Graph,
@@ -336,7 +313,7 @@ ExactResult lsms::scheduleLoopExact(const DepGraph &Graph,
     Sched.II = II;
     const ExactStatus St =
         solveAtIIImpl(Graph, II, Options, MinDist, Sched.Times,
-                      Result.EngineStats, &Ctx);
+                      Result.EngineStats, Ctx);
     if (St == ExactStatus::Optimal) {
       Found = true;
       break;
@@ -392,8 +369,9 @@ MaxLiveOutcome lsms::minimizeMaxLiveAtII(const DepGraph &Graph, int II,
                                          MinDistMatrix &MinDist) {
   MaxLiveOutcome Out;
   std::vector<int> Times;
+  LadderContext Ctx(Graph);
   const ExactStatus St =
-      solveAtII(Graph, II, Options, MinDist, Times, Out.Stats);
+      solveAtIIImpl(Graph, II, Options, MinDist, Times, Out.Stats, Ctx);
   if (St != ExactStatus::Optimal) {
     // At a fixed II the ladder statuses collapse to Infeasible/Timeout.
     Out.Status = St;
@@ -402,9 +380,7 @@ MaxLiveOutcome lsms::minimizeMaxLiveAtII(const DepGraph &Graph, int II,
   Out.MinAvg = computeMinAvg(Graph, MinDist);
   Out.MaxLive =
       computePressure(Graph.body(), Times, II, RegClass::RR).MaxLive;
-  const std::vector<int> FuInstance =
-      assignFunctionalUnits(Graph.body(), Graph.machine());
-  Out.Status = runMaxLivePass(Graph, MinDist, Options, FuInstance, Times,
+  Out.Status = runMaxLivePass(Graph, MinDist, Options, Ctx.FuInstance, Times,
                               Out.MaxLive, Out.MinAvg, Out.Stats,
                               Out.Certificate);
   Out.Times = std::move(Times);

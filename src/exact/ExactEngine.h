@@ -121,7 +121,7 @@ struct ExactOptions {
   long NodeBudget = 1L << 18;
 
   /// CDCL conflict budget per II attempt for the SAT engine, counted
-  /// across lazy refinement rounds; <= 0 gives up immediately.
+  /// across lazy refinement rounds; <= 0 gives up before any search.
   long SatConflictBudget = 1L << 18;
 
   /// Node budget for the secondary MaxLive-minimization pass when the
@@ -130,7 +130,7 @@ struct ExactOptions {
   long MaxLiveNodeBudget = 1L << 18;
 
   /// CDCL conflict budget for the SAT MaxLive-certification pass, counted
-  /// across the downward cardinality probes; used when Engine is Sat.
+  /// across the downward cardinality probes; <= 0 gives up before any search.
   long MaxLiveConflictBudget = 1L << 18;
 
   /// II cap shared with SchedulerOptions: the ladder gives up beyond

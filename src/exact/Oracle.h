@@ -15,7 +15,7 @@
 #define LSMS_EXACT_ORACLE_H
 
 #include "core/SchedulerOptions.h"
-#include "exact/ExactScheduler.h"
+#include "exact/ExactEngine.h"
 
 #include <cstdint>
 #include <iosfwd>

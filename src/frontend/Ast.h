@@ -40,6 +40,7 @@ struct Expr {
   BinaryOp Op = BinaryOp::Add; // Binary
   std::unique_ptr<Expr> Lhs, Rhs; // Binary / Unary(Lhs) / Sqrt(Lhs)
   int Line = 0;
+  int Height = 1; ///< levels in this subtree (1 for a leaf)
 };
 
 enum class CmpOp : uint8_t { Eq, Ne, Lt, Le, Gt, Ge };

@@ -2,6 +2,7 @@
 
 #include "frontend/Lexer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -53,6 +54,37 @@ private:
     return false;
   }
 
+  /// Holds one level of a nesting counter for the scope of a recursive
+  /// parse call.
+  class Level {
+  public:
+    explicit Level(int &Counter) : Counter(Counter) { ++Counter; }
+    ~Level() { --Counter; }
+    Level(const Level &) = delete;
+    Level &operator=(const Level &) = delete;
+
+  private:
+    int &Counter;
+  };
+
+  /// Refuses nesting past MaxNestingDepth before it is built: every later
+  /// stage recurses once per level.
+  bool tooDeep(const char *What) {
+    return fail(std::string(What) + " nested deeper than " +
+                std::to_string(MaxNestingDepth) + " levels");
+  }
+
+  /// Sets \p Node's height from its operands; null when that passes
+  /// MaxNestingDepth.
+  std::unique_ptr<Expr> bounded(std::unique_ptr<Expr> Node) {
+    Node->Height = 1 + std::max(Node->Lhs ? Node->Lhs->Height : 0,
+                                Node->Rhs ? Node->Rhs->Height : 0);
+    if (Node->Height <= MaxNestingDepth)
+      return Node;
+    tooDeep("expression");
+    return nullptr;
+  }
+
   bool parseParams(Program &Prog);
   bool parseLoopHeader(Program &Prog);
   bool parseStmtList(std::vector<std::unique_ptr<Stmt>> &Out);
@@ -70,6 +102,8 @@ private:
   std::string &Error;
   size_t Pos = 0;
   std::string Counter;
+  int ExprNesting = 0; ///< parseFactor calls in progress
+  int IfNesting = 0;   ///< parseIf calls in progress
 };
 
 std::unique_ptr<Program> Parser::run() {
@@ -167,6 +201,11 @@ std::unique_ptr<Stmt> Parser::parseStmt() {
 }
 
 std::unique_ptr<Stmt> Parser::parseIf() {
+  const Level Nest(IfNesting);
+  if (IfNesting > MaxNestingDepth) {
+    tooDeep("if block");
+    return nullptr;
+  }
   auto S = std::make_unique<Stmt>();
   S->Kind = StmtKind::If;
   S->Line = peek().Line;
@@ -276,7 +315,9 @@ std::unique_ptr<Expr> Parser::parseExpr() {
     Node->Line = Lhs->Line;
     Node->Lhs = std::move(Lhs);
     Node->Rhs = std::move(Rhs);
-    Lhs = std::move(Node);
+    Lhs = bounded(std::move(Node));
+    if (!Lhs)
+      return nullptr;
   }
   return Lhs;
 }
@@ -296,12 +337,21 @@ std::unique_ptr<Expr> Parser::parseTerm() {
     Node->Line = Lhs->Line;
     Node->Lhs = std::move(Lhs);
     Node->Rhs = std::move(Rhs);
-    Lhs = std::move(Node);
+    Lhs = bounded(std::move(Node));
+    if (!Lhs)
+      return nullptr;
   }
   return Lhs;
 }
 
 std::unique_ptr<Expr> Parser::parseFactor() {
+  // Parentheses build no node, so the parser's own recursion is bounded
+  // here rather than by node height.
+  const Level Nest(ExprNesting);
+  if (ExprNesting > MaxNestingDepth) {
+    tooDeep("expression");
+    return nullptr;
+  }
   const int Line = peek().Line;
   if (accept(TokenKind::LParen)) {
     auto E = parseExpr();
@@ -319,7 +369,7 @@ std::unique_ptr<Expr> Parser::parseFactor() {
     Node->Kind = ExprKind::Unary;
     Node->Line = Line;
     Node->Lhs = std::move(Operand);
-    return Node;
+    return bounded(std::move(Node));
   }
   if (accept(TokenKind::KwSqrt)) {
     if (!expect(TokenKind::LParen, "after sqrt"))
@@ -333,7 +383,7 @@ std::unique_ptr<Expr> Parser::parseFactor() {
     Node->Kind = ExprKind::Sqrt;
     Node->Line = Line;
     Node->Lhs = std::move(Operand);
-    return Node;
+    return bounded(std::move(Node));
   }
   if (check(TokenKind::Number)) {
     auto Node = std::make_unique<Expr>();

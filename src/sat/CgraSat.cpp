@@ -5,25 +5,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <climits>
 
 using namespace lsms;
 
 namespace {
-
-constexpr long NoPath = MinDistMatrix::NoPath;
-
-bool isPath(long W) { return W > NoPath / 2; }
-
-long tighten(long C, long D, long II) {
-  return C + (((D - C) % II + II) % II);
-}
-
-long satAdd(long A, long B) {
-  constexpr long Cap = LONG_MAX / 4;
-  const long S = A + B;
-  return S > Cap ? Cap : S;
-}
 
 /// Per-arc clause-count gate for the up-front hop-strengthened pairwise
 /// encoding; recurrence arcs beyond it fall back to lazy cuts alone.
@@ -35,15 +20,7 @@ public:
   CgraSatAttempt(const DepGraph &Graph, const CgraModel &Cgra,
                  const MinDistMatrix &MinDist)
       : Graph(Graph), Cgra(Cgra), Body(Graph.body()), M(Cgra.machine()),
-        MinDist(MinDist), II(MinDist.initiationInterval()),
-        N(Graph.numOps()) {
-    Slot.assign(static_cast<size_t>(N), -1);
-    for (int X = 0; X < N; ++X) {
-      if (M.unitFor(Body.op(X).Opc) == FuKind::None)
-        continue;
-      Slot[static_cast<size_t>(X)] = static_cast<int>(Real.size());
-      Real.push_back(X);
-    }
+        MinDist(MinDist), II(MinDist.initiationInterval()), Closure(Body, M) {
     Allowed.assign(Real.size(), {});
     PeIndex.assign(Real.size(),
                    std::vector<int>(static_cast<size_t>(Cgra.numPes()), -1));
@@ -60,6 +37,7 @@ public:
     }
   }
 
+  CgraSatAttempt(const CgraSatAttempt &) = delete; // members alias Closure
   CgraSatStatus run(long ConflictBudget, std::vector<int> &TimesOut,
                     std::vector<int> &PesOut, SatEngineStats &Stats);
 
@@ -74,10 +52,7 @@ private:
 
   bool encode();
   void decode();
-  bool closeTightened();
-  std::vector<Lit> cycleCut() const;
   bool routeCut(std::vector<Lit> &Cut) const;
-  void materialize(std::vector<int> &TimesOut, std::vector<int> &PesOut) const;
 
   const DepGraph &Graph;
   const CgraModel &Cgra;
@@ -85,21 +60,19 @@ private:
   const MachineModel &M;
   const MinDistMatrix &MinDist;
   const int II;
-  const int N;
 
+  TightenedClosure Closure; ///< hop-augmented, over decoded residues
+  const std::vector<int> &Real = Closure.Ops.Real;
+  const std::vector<int> &Slot = Closure.Ops.Slot;
+  std::vector<int> &Rho = Closure.Rho; ///< decoded residue per slot
   SatSolver Solver;
-  std::vector<int> Real; ///< op ids with a functional unit, ascending
-  std::vector<int> Slot; ///< op id -> index in Real, -1 for pseudo-ops
   std::vector<std::vector<int>> Allowed; ///< capable PEs per slot (empty =
                                          ///< no PE slot needed, e.g. brtop)
   std::vector<std::vector<int>> PeIndex; ///< PE id -> index in Allowed
   std::vector<int> RBase; ///< residue-column base var per slot
   std::vector<int> SBase; ///< selector base var per placeable slot
 
-  std::vector<int> Rho; ///< decoded residue per slot
-  std::vector<int> Pe;  ///< decoded PE per slot (-1 when not placeable)
-  std::vector<long> T;  ///< hop-augmented tightened closure
-  int CycleSlot = -1;
+  std::vector<int> Pe; ///< decoded PE per slot (-1 when not placeable)
 };
 
 bool CgraSatAttempt::encode() {
@@ -178,22 +151,9 @@ bool CgraSatAttempt::encode() {
 
   // Flat pairwise dependence legality over residue columns (hop-free lower
   // bounds; valid for every placement).
-  for (size_t SU = 0; SU < Real.size(); ++SU) {
-    const int U = Real[SU];
-    for (size_t SV = SU + 1; SV < Real.size(); ++SV) {
-      const int V = Real[SV];
-      if (!MinDist.connected(U, V) || !MinDist.connected(V, U))
-        continue;
-      const long CUV = MinDist.at(U, V);
-      const long CVU = MinDist.at(V, U);
-      for (int D = 0; D < II; ++D) {
-        if (tighten(CUV, D, II) + tighten(CVU, -D, II) <= 0)
-          continue;
-        for (int A = 0; A < II; ++A)
-          Solver.addClause({~rVar(SU, A), ~rVar(SV, (A + D) % II)});
-      }
-    }
-  }
+  forEachTwoCycle(MinDist, Real, [&](size_t SU, int A, size_t SV, int B) {
+    Solver.addClause({~rVar(SU, A), ~rVar(SV, B)});
+  });
 
   // Hop-strengthened pairwise legality for register-flow arcs inside a
   // recurrence: landing producer and consumer on distant PEs adds hop
@@ -229,14 +189,10 @@ bool CgraSatAttempt::encode() {
             std::max(CXY, static_cast<long>(Arc.Latency) +
                               Cgra.hopDelay(PX, PY) -
                               static_cast<long>(Arc.Omega) * II);
-        for (int D = 0; D < II; ++D) {
-          if (tighten(Hopped, D, II) + tighten(CYX, -D, II) <= 0)
-            continue;
-          for (int A = 0; A < II; ++A)
-            Solver.addClause({~sVar(SXU, A, static_cast<int>(KX)),
-                              ~sVar(SYU, (A + D) % II,
-                                    static_cast<int>(KY))});
-        }
+        forEachTwoCycle(Hopped, CYX, II, [&](int A, int B) {
+          Solver.addClause({~sVar(SXU, A, static_cast<int>(KX)),
+                            ~sVar(SYU, B, static_cast<int>(KY))});
+        });
       }
     }
   }
@@ -244,15 +200,10 @@ bool CgraSatAttempt::encode() {
 }
 
 void CgraSatAttempt::decode() {
-  Rho.assign(Real.size(), -1);
+  Closure.readModel(Solver, II,
+                    [&](size_t S, int R) { return litVar(rVar(S, R)); });
   Pe.assign(Real.size(), -1);
   for (size_t S = 0; S < Real.size(); ++S) {
-    for (int R = 0; R < II; ++R)
-      if (Solver.modelValue(litVar(rVar(S, R)))) {
-        assert(Rho[S] < 0 && "exactly-one residue violated");
-        Rho[S] = R;
-      }
-    assert(Rho[S] >= 0 && "operation left without a residue");
     if (!placeable(S))
       continue;
     for (size_t K = 0; K < Allowed[S].size(); ++K)
@@ -264,83 +215,6 @@ void CgraSatAttempt::decode() {
   }
 }
 
-bool CgraSatAttempt::closeTightened() {
-  const size_t R = Real.size();
-  T.assign(R * R, NoPath);
-  for (size_t I = 0; I < R; ++I)
-    for (size_t J = 0; J < R; ++J) {
-      if (I == J) {
-        T[I * R + J] = 0;
-        continue;
-      }
-      if (MinDist.connected(Real[I], Real[J]))
-        T[I * R + J] =
-            tighten(MinDist.at(Real[I], Real[J]), Rho[J] - Rho[I], II);
-    }
-  // Overlay the hop-charged register-flow arcs of the decoded placement.
-  for (const DepArc &Arc : Graph.arcs()) {
-    const int SX = Slot[static_cast<size_t>(Arc.Src)];
-    const int SY = Slot[static_cast<size_t>(Arc.Dst)];
-    if (SX < 0 || SY < 0 || SX == SY)
-      continue;
-    const int Hop = arcHopDelay(Cgra, Arc, Pe[static_cast<size_t>(SX)],
-                                Pe[static_cast<size_t>(SY)]);
-    if (Hop == 0)
-      continue;
-    const long W =
-        tighten(static_cast<long>(Arc.Latency) + Hop -
-                    static_cast<long>(Arc.Omega) * II,
-                Rho[static_cast<size_t>(SY)] - Rho[static_cast<size_t>(SX)],
-                II);
-    long &Cell = T[static_cast<size_t>(SX) * R + static_cast<size_t>(SY)];
-    Cell = std::max(Cell, W);
-  }
-  for (size_t K = 0; K < R; ++K) {
-    for (size_t I = 0; I < R; ++I) {
-      const long IK = T[I * R + K];
-      if (!isPath(IK))
-        continue;
-      for (size_t J = 0; J < R; ++J) {
-        const long KJ = T[K * R + J];
-        if (!isPath(KJ))
-          continue;
-        long &Cell = T[I * R + J];
-        const long Via = satAdd(IK, KJ);
-        if (Via > Cell)
-          Cell = Via;
-      }
-    }
-    for (size_t I = 0; I < R; ++I)
-      if (T[I * R + I] > 0) {
-        CycleSlot = static_cast<int>(I);
-        return false;
-      }
-  }
-  CycleSlot = -1;
-  return true;
-}
-
-/// Blocking clause for the positive cycle through CycleSlot: every slot
-/// mutually connected with it keeps its current (residue, PE) choice only
-/// if at least one of them moves. All arc weights inside that strongly
-/// connected set — tightened MinDist entries and hop overlays alike —
-/// are functions of exactly those residues and PEs, so the cut is sound.
-std::vector<Lit> CgraSatAttempt::cycleCut() const {
-  const size_t R = Real.size();
-  const size_t V = static_cast<size_t>(CycleSlot);
-  std::vector<Lit> Cut;
-  for (size_t U = 0; U < R; ++U) {
-    if (U != V && (!isPath(T[V * R + U]) || !isPath(T[U * R + V])))
-      continue;
-    if (placeable(U))
-      Cut.push_back(~sVar(U, Rho[U],
-                          PeIndex[U][static_cast<size_t>(Pe[U])]));
-    else
-      Cut.push_back(~rVar(U, Rho[U]));
-  }
-  return Cut;
-}
-
 /// Checks route capacity on the decoded residues (departure cycles depend
 /// only on residues, not absolute times). On overflow builds the blocking
 /// clause: every transfer feeding the overflowing (PE, residue) slot pins
@@ -348,8 +222,8 @@ std::vector<Lit> CgraSatAttempt::cycleCut() const {
 /// destination; with all of them held the slot provably overflows again,
 /// so excluding the combination is sound. Returns true when clean.
 bool CgraSatAttempt::routeCut(std::vector<Lit> &Cut) const {
-  std::vector<int> Times(static_cast<size_t>(N), -1);
-  std::vector<int> Pes(static_cast<size_t>(N), -1);
+  std::vector<int> Times(static_cast<size_t>(Graph.numOps()), -1);
+  std::vector<int> Pes(static_cast<size_t>(Graph.numOps()), -1);
   for (size_t S = 0; S < Real.size(); ++S) {
     Times[static_cast<size_t>(Real[S])] = Rho[S];
     Pes[static_cast<size_t>(Real[S])] = Pe[S];
@@ -391,45 +265,6 @@ bool CgraSatAttempt::routeCut(std::vector<Lit> &Cut) const {
   return false;
 }
 
-void CgraSatAttempt::materialize(std::vector<int> &TimesOut,
-                                 std::vector<int> &PesOut) const {
-  const int Start = Body.startOp();
-  const size_t R = Real.size();
-  std::vector<long> Base(R, 0);
-  for (size_t I = 0; I < R; ++I) {
-    const long FromStart =
-        MinDist.connected(Start, Real[I]) ? MinDist.at(Start, Real[I]) : 0;
-    Base[I] = tighten(std::max(0L, FromStart), Rho[I], II);
-  }
-  std::vector<long> Time(R, 0);
-  for (size_t J = 0; J < R; ++J) {
-    long TJ = Base[J];
-    for (size_t I = 0; I < R; ++I)
-      if (isPath(T[I * R + J]))
-        TJ = std::max(TJ, Base[I] + T[I * R + J]);
-    Time[J] = TJ;
-  }
-
-  TimesOut.assign(static_cast<size_t>(N), 0);
-  PesOut.assign(static_cast<size_t>(N), -1);
-  for (size_t I = 0; I < R; ++I) {
-    assert(Time[I] % II == Rho[I] && "decoded time lost its residue");
-    TimesOut[static_cast<size_t>(Real[I])] = static_cast<int>(Time[I]);
-    PesOut[static_cast<size_t>(Real[I])] = Pe[I];
-  }
-  for (int X = 0; X < N; ++X) {
-    if (X == Start || Slot[static_cast<size_t>(X)] >= 0)
-      continue;
-    long TX = std::max(
-        0L, MinDist.connected(Start, X) ? MinDist.at(Start, X) : 0L);
-    for (size_t I = 0; I < R; ++I)
-      if (MinDist.connected(Real[I], X))
-        TX = std::max(TX, Time[I] + MinDist.at(Real[I], X));
-    TimesOut[static_cast<size_t>(X)] = static_cast<int>(TX);
-  }
-  TimesOut[static_cast<size_t>(Start)] = 0;
-}
-
 CgraSatStatus CgraSatAttempt::run(long ConflictBudget,
                                   std::vector<int> &TimesOut,
                                   std::vector<int> &PesOut,
@@ -446,32 +281,19 @@ CgraSatStatus CgraSatAttempt::run(long ConflictBudget,
     if (M.reservationCycles(Opc) > II)
       return CgraSatStatus::Infeasible;
   }
-  if (ConflictBudget == 0)
+  const SolverDelta Delta(Solver);
+  if (Delta.conflictsLeft(ConflictBudget) <= 0)
     return CgraSatStatus::Budget;
 
-  const SatSolverStats Before = Solver.stats();
-  const auto Snapshot = [&]() {
-    Stats.Variables += Solver.numVars();
-    Stats.Clauses += Solver.numClauses();
-    Stats.Decisions += Solver.stats().Decisions - Before.Decisions;
-    Stats.Propagations += Solver.stats().Propagations - Before.Propagations;
-    Stats.Conflicts += Solver.stats().Conflicts - Before.Conflicts;
-    Stats.Restarts += Solver.stats().Restarts - Before.Restarts;
-    Stats.Learned += Solver.stats().Learned - Before.Learned;
-  };
-
   if (!encode()) {
-    Snapshot();
+    Delta.addTo(Stats);
     return CgraSatStatus::Infeasible;
   }
 
   CgraSatStatus Status = CgraSatStatus::Budget;
   for (;;) {
-    const long Spent = Solver.stats().Conflicts - Before.Conflicts;
-    if (ConflictBudget >= 0 && Spent >= ConflictBudget)
-      break;
-    const long Remaining = ConflictBudget < 0 ? -1 : ConflictBudget - Spent;
-    const SatResult R = Solver.solve(Remaining);
+    const long Left = Delta.conflictsLeft(ConflictBudget);
+    const SatResult R = Left <= 0 ? SatResult::Unknown : Solver.solve(Left);
     if (R == SatResult::Unknown)
       break;
     if (R == SatResult::Unsat) {
@@ -479,22 +301,47 @@ CgraSatStatus CgraSatAttempt::run(long ConflictBudget,
       break;
     }
     decode();
-    if (!closeTightened()) {
-      Solver.addClause(cycleCut());
-      ++Stats.Refinements;
-      continue;
+    // The tightened closure of the decoded residues, with the hop-charged
+    // register-flow arcs of the decoded placement overlaid.
+    Closure.load(MinDist);
+    for (const DepArc &Arc : Graph.arcs()) {
+      const int SX = Slot[static_cast<size_t>(Arc.Src)];
+      const int SY = Slot[static_cast<size_t>(Arc.Dst)];
+      if (SX < 0 || SY < 0 || SX == SY)
+        continue;
+      const int Hop = arcHopDelay(Cgra, Arc, Pe[static_cast<size_t>(SX)],
+                                  Pe[static_cast<size_t>(SY)]);
+      if (Hop != 0)
+        Closure.raise(SX, SY,
+                      static_cast<long>(Arc.Latency) + Hop -
+                          static_cast<long>(Arc.Omega) * II);
     }
     std::vector<Lit> Cut;
-    if (!routeCut(Cut)) {
-      Solver.addClause(Cut);
-      ++Stats.Refinements;
-      continue;
+    if (!Closure.close()) {
+      // Every slot on the cycle keeps its (residue, PE) choice only if at
+      // least one of them moves: hop overlays, like the tightened MinDist
+      // entries, are functions of exactly those residues and PEs.
+      for (size_t U = 0; U < Real.size(); ++U) {
+        if (!Closure.onCycle(U))
+          continue;
+        if (placeable(U))
+          Cut.push_back(~sVar(U, Rho[U],
+                              PeIndex[U][static_cast<size_t>(Pe[U])]));
+        else
+          Cut.push_back(~rVar(U, Rho[U]));
+      }
+    } else if (routeCut(Cut)) {
+      Closure.decode(TimesOut);
+      PesOut.assign(static_cast<size_t>(Graph.numOps()), -1);
+      for (size_t S = 0; S < Real.size(); ++S)
+        PesOut[static_cast<size_t>(Real[S])] = Pe[S];
+      Status = CgraSatStatus::Mapped;
+      break;
     }
-    materialize(TimesOut, PesOut);
-    Status = CgraSatStatus::Mapped;
-    break;
+    Solver.addClause(Cut);
+    ++Stats.Refinements;
   }
-  Snapshot();
+  Delta.addTo(Stats);
   return Status;
 }
 

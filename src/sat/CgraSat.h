@@ -50,8 +50,8 @@ enum class CgraSatStatus : uint8_t {
 /// relation at that II. On Mapped, \p TimesOut holds canonical earliest
 /// issue times and \p PesOut the PE per op (-1 for ops taking no PE slot).
 /// \p ConflictBudget bounds CDCL conflicts across refinement rounds; <= 0
-/// gives up immediately. Deterministic; one fresh solver per call (the
-/// spatial ladder is not yet incremental across rungs).
+/// gives up before any search. Deterministic; one fresh solver per call
+/// (the spatial ladder is not yet incremental across rungs).
 CgraSatStatus mapAtIICgraSat(const DepGraph &Graph, const CgraModel &Cgra,
                              const MinDistMatrix &MinDist, long ConflictBudget,
                              std::vector<int> &TimesOut,

@@ -1,12 +1,10 @@
 #include "sat/MaxLiveSat.h"
 
 #include "bounds/Lifetimes.h"
-#include "machine/ModuloResourceTable.h"
 #include "sat/SatSolver.h"
 
 #include <algorithm>
 #include <cassert>
-#include <climits>
 
 using namespace lsms;
 
@@ -18,10 +16,12 @@ class MaxLiveEncoder {
 public:
   MaxLiveEncoder(const DepGraph &Graph, const MinDistMatrix &MinDist,
                  const std::vector<int> &FuInstance)
-      : Graph(Graph), Body(Graph.body()), Machine(Graph.machine()),
+      : Body(Graph.body()), Machine(Graph.machine()),
         MinDist(MinDist), FuInstance(FuInstance),
-        II(MinDist.initiationInterval()), N(Body.numOps()) {}
+        II(MinDist.initiationInterval()), Ops(Body, Machine),
+        Real(Ops.Real), Slot(Ops.Slot) {}
 
+  MaxLiveEncoder(const MaxLiveEncoder &) = delete; // members alias Ops
   SatMaxLiveResult run(long ConflictBudget, long MinAvg, long UpperCap,
                        const std::atomic<bool> *Stop);
 
@@ -61,18 +61,17 @@ private:
   std::vector<Lit> capAssumptions(long K) const;
   long decode(std::vector<int> &TimesOut) const;
 
-  const DepGraph &Graph;
   const LoopBody &Body;
   const MachineModel &Machine;
   const MinDistMatrix &MinDist;
   const std::vector<int> &FuInstance;
   const int II;
-  const int N;
+  const MachineOps Ops;
+  const std::vector<int> &Real; ///< Ops.Real
+  const std::vector<int> &Slot; ///< Ops.Slot
 
   SatSolver Solver;
   std::vector<long> Estart, Lstart; ///< shared issue windows, per op id
-  std::vector<int> Real;            ///< op ids with a functional unit
-  std::vector<int> Slot;            ///< op id -> index in Real; -1 pseudo
   std::vector<int> OBase;           ///< first order var per slot
   std::vector<int> DBase;           ///< first direct (time) var per slot
 
@@ -98,15 +97,6 @@ void MaxLiveEncoder::buildWindows() {
   const IssueWindows W = computeIssueWindows(Body, MinDist);
   Estart = W.Estart;
   Lstart = W.Lstart;
-  Real.clear();
-  Slot.assign(static_cast<size_t>(N), -1);
-  for (int X = 0; X < N; ++X) {
-    if (Machine.unitFor(Body.op(X).Opc) == FuKind::None)
-      continue;
-    Slot[static_cast<size_t>(X)] = static_cast<int>(Real.size());
-    Real.push_back(X);
-  }
-
   OBase.resize(Real.size());
   DBase.resize(Real.size());
   for (size_t S = 0; S < Real.size(); ++S) {
@@ -185,45 +175,32 @@ void MaxLiveEncoder::encodeDependences() {
 }
 
 void MaxLiveEncoder::encodeResources() {
-  // Modulo-resource conflicts depend only on residues; probe the
-  // reservation table pairwise (the single source of truth, non-pipelined
-  // multi-cycle reservations included) and forbid colliding time pairs on
-  // shared functional-unit instances via the direct literals.
-  ModuloResourceTable Mrt(Machine, II);
+  // Modulo-resource conflicts depend only on residues: probe them once and
+  // forbid colliding time pairs on shared functional-unit instances via
+  // the direct literals.
+  ResourceProbe Probe(Body, Machine, FuInstance, II);
+  // II x II conflict bitmap per same-instance pair, cleared after use.
+  std::vector<char> Conflict(static_cast<size_t>(II) * II, 0);
   for (size_t SU = 0; SU < Real.size(); ++SU) {
-    const Operation &U = Body.op(Real[SU]);
-    const FuKind KindU = Machine.unitFor(U.Opc);
-    const int InstU = FuInstance[static_cast<size_t>(Real[SU])];
     const long EU = Estart[static_cast<size_t>(Real[SU])];
     const long LU = Lstart[static_cast<size_t>(Real[SU])];
     for (long A = EU; A <= LU; ++A)
-      if (!Mrt.canPlace(U.Opc, KindU, InstU, static_cast<int>(A % II)))
+      if (!Probe.fitsAlone(Real[SU], static_cast<int>(A % II)))
         Solver.addClause({~mkLit(DBase[SU] + static_cast<int>(A - EU))});
     for (size_t SV = SU + 1; SV < Real.size(); ++SV) {
-      const Operation &V = Body.op(Real[SV]);
-      const FuKind KindV = Machine.unitFor(V.Opc);
-      const int InstV = FuInstance[static_cast<size_t>(Real[SV])];
-      if (KindU != KindV || InstU != InstV)
+      if (!Probe.forEachConflict(Real[SU], Real[SV], [&](int A, int B) {
+            Conflict[static_cast<size_t>(A) * II + B] = 1;
+          }))
         continue;
+      // One binary clause per colliding absolute-time pair in the windows.
       const long EV = Estart[static_cast<size_t>(Real[SV])];
       const long LV = Lstart[static_cast<size_t>(Real[SV])];
-      // II x II conflict bitmap, then one binary clause per colliding
-      // absolute-time pair inside the windows.
-      std::vector<char> Conflict(static_cast<size_t>(II) * II, 0);
-      for (int RA = 0; RA < II; ++RA) {
-        if (!Mrt.canPlace(U.Opc, KindU, InstU, RA))
-          continue;
-        Mrt.place(U.Opc, KindU, InstU, RA);
-        for (int RB = 0; RB < II; ++RB)
-          if (!Mrt.canPlace(V.Opc, KindV, InstV, RB))
-            Conflict[static_cast<size_t>(RA) * II + RB] = 1;
-        Mrt.remove(U.Opc, KindU, InstU, RA);
-      }
       for (long A = EU; A <= LU; ++A)
         for (long B = EV; B <= LV; ++B)
           if (Conflict[static_cast<size_t>(A % II) * II + (B % II)])
             Solver.addClause({~mkLit(DBase[SU] + static_cast<int>(A - EU)),
                               ~mkLit(DBase[SV] + static_cast<int>(B - EV))});
+      std::fill(Conflict.begin(), Conflict.end(), 0);
     }
   }
 }
@@ -361,8 +338,7 @@ std::vector<Lit> MaxLiveEncoder::capAssumptions(long K) const {
 /// true, Lstart when none), derives pseudo-ops at their earliest
 /// consistent cycles, and returns the schedule's true MaxLive.
 long MaxLiveEncoder::decode(std::vector<int> &TimesOut) const {
-  const int Start = Body.startOp();
-  TimesOut.assign(static_cast<size_t>(N), 0);
+  TimesOut.assign(static_cast<size_t>(Body.numOps()), 0);
   for (size_t S = 0; S < Real.size(); ++S) {
     const int X = Real[S];
     const long E = Estart[static_cast<size_t>(X)];
@@ -374,17 +350,7 @@ long MaxLiveEncoder::decode(std::vector<int> &TimesOut) const {
       }
     TimesOut[static_cast<size_t>(X)] = static_cast<int>(T);
   }
-  for (int X = 0; X < N; ++X) {
-    if (X == Start || Slot[static_cast<size_t>(X)] >= 0)
-      continue;
-    long T = std::max(0L, MinDist.at(Start, X));
-    for (int Y : Real)
-      if (MinDist.connected(Y, X))
-        T = std::max(T, static_cast<long>(
-                            TimesOut[static_cast<size_t>(Y)]) +
-                            MinDist.at(Y, X));
-    TimesOut[static_cast<size_t>(X)] = static_cast<int>(T);
-  }
+  placePseudoOps(Body, MinDist, Ops, TimesOut);
   return computePressure(Body, TimesOut, II, RegClass::RR).MaxLive;
 }
 
@@ -392,6 +358,7 @@ SatMaxLiveResult MaxLiveEncoder::run(long ConflictBudget, long MinAvg,
                                      long UpperCap,
                                      const std::atomic<bool> *Stop) {
   SatMaxLiveResult Result;
+  const SolverDelta Delta(Solver);
   Solver.setStopFlag(Stop);
   buildWindows();
   encodeChainsAndDirects();
@@ -411,14 +378,12 @@ SatMaxLiveResult MaxLiveEncoder::run(long ConflictBudget, long MinAvg,
       Result.SearchComplete = true;
       break;
     }
-    const long Spent = Solver.stats().Conflicts;
-    const long Remaining = ConflictBudget - Spent;
-    if (Remaining <= 0)
-      break; // budget exhausted: report best-so-far, no claim
+    const long Left = Delta.conflictsLeft(ConflictBudget);
     const SatResult R =
-        Solver.solveUnderAssumptions(capAssumptions(K), Remaining);
+        Left <= 0 ? SatResult::Unknown
+                  : Solver.solveUnderAssumptions(capAssumptions(K), Left);
     if (R == SatResult::Unknown)
-      break;
+      break; // budget exhausted: report best-so-far, no claim
     if (R == SatResult::Unsat) {
       Result.SearchComplete = true;
       break;
@@ -433,14 +398,7 @@ SatMaxLiveResult MaxLiveEncoder::run(long ConflictBudget, long MinAvg,
 
   Result.FamilyMin = BestVal;
   Result.Times = std::move(BestTimes);
-  const SatSolverStats &S = Solver.stats();
-  Result.Stats.Variables = Solver.numVars();
-  Result.Stats.Clauses = Solver.numClauses();
-  Result.Stats.Decisions = S.Decisions;
-  Result.Stats.Propagations = S.Propagations;
-  Result.Stats.Conflicts = S.Conflicts;
-  Result.Stats.Restarts = S.Restarts;
-  Result.Stats.Learned = S.Learned;
+  Delta.addTo(Result.Stats);
   return Result;
 }
 

@@ -70,8 +70,9 @@ struct SatMaxLiveResult {
 /// cannot improve the reported schedule, so the search is cut there.
 /// \p MinAvg is the paper's lower bound at this II: a witness meeting it
 /// is accepted without a further probe. \p ConflictBudget bounds total
-/// CDCL conflicts across probes. Deterministic unless \p Stop is set (a
-/// cancelled run reports best-so-far with no completeness claim).
+/// CDCL conflicts across probes; <= 0 gives up before any search.
+/// Deterministic unless \p Stop is set (a cancelled run reports
+/// best-so-far with no completeness claim).
 SatMaxLiveResult minimizeMaxLiveSat(const DepGraph &Graph,
                                     const MinDistMatrix &MinDist,
                                     const std::vector<int> &FuInstance,

@@ -1,48 +1,13 @@
 #include "sat/SatScheduler.h"
 
-#include "machine/ModuloResourceTable.h"
-
-#include <algorithm>
 #include <cassert>
-#include <climits>
 
 using namespace lsms;
 
-namespace {
-
-constexpr long NoPath = MinDistMatrix::NoPath;
-
-bool isPath(long W) { return W > NoPath / 2; }
-
-/// Smallest value >= C congruent to D modulo II (the same tightening step
-/// the branch-and-bound engine applies once both residues are fixed).
-long tighten(long C, long D, long II) {
-  return C + (((D - C) % II + II) % II);
-}
-
-/// Saturating max-plus addition: closure entries can grow while a positive
-/// cycle is being detected, and any weight beyond every simple path's
-/// reach already implies such a cycle, so clamping is sound.
-long satAdd(long A, long B) {
-  constexpr long Cap = LONG_MAX / 4;
-  const long S = A + B;
-  return S > Cap ? Cap : S;
-}
-
-} // namespace
-
 SatIILadder::SatIILadder(const DepGraph &Graph,
                          const std::vector<int> &FuInstance)
-    : Graph(Graph), Body(Graph.body()), Machine(Graph.machine()),
-      FuInstance(FuInstance), N(Body.numOps()) {
-  Slot.assign(static_cast<size_t>(N), -1);
-  for (int X = 0; X < N; ++X) {
-    if (Machine.unitFor(Body.op(X).Opc) == FuKind::None)
-      continue;
-    Slot[static_cast<size_t>(X)] = static_cast<int>(Real.size());
-    Real.push_back(X);
-  }
-}
+    : Graph(Graph), FuInstance(FuInstance),
+      Closure(Graph.body(), Graph.machine()) {}
 
 void SatIILadder::growColumns(int NewColumns) {
   // One variable block per residue column; at-most-one against every
@@ -53,9 +18,9 @@ void SatIILadder::growColumns(int NewColumns) {
   while (static_cast<int>(ColBase.size()) < NewColumns) {
     const int Col = static_cast<int>(ColBase.size());
     ColBase.push_back(Solver.numVars());
-    for (size_t S = 0; S < Real.size(); ++S)
+    for (size_t S = 0; S < Closure.Ops.Real.size(); ++S)
       Solver.newVar();
-    for (size_t S = 0; S < Real.size(); ++S)
+    for (size_t S = 0; S < Closure.Ops.Real.size(); ++S)
       for (int B = 0; B < Col; ++B)
         Solver.addClause({~placedAt(static_cast<int>(S), B),
                           ~placedAt(static_cast<int>(S), Col)});
@@ -64,6 +29,7 @@ void SatIILadder::growColumns(int NewColumns) {
 
 void SatIILadder::encodeRung(Lit Guard, const MinDistMatrix &MinDist) {
   const int II = MinDist.initiationInterval();
+  const std::vector<int> &Real = Closure.Ops.Real;
 
   // At-least-one over [0, II) — II-dependent, so guarded.
   for (size_t S = 0; S < Real.size(); ++S) {
@@ -76,181 +42,27 @@ void SatIILadder::encodeRung(Lit Guard, const MinDistMatrix &MinDist) {
   }
 
   // Modulo-resource conflicts are pairwise over operations sharing a
-  // functional-unit instance; the reservation table itself is the single
-  // source of truth for what conflicts (multi-cycle reservations on the
-  // non-pipelined divider included).
-  ModuloResourceTable Mrt(Machine, II);
+  // functional-unit instance. Residues an operation cannot occupy even
+  // alone are excluded for this rung.
+  ResourceProbe Probe(Graph.body(), Graph.machine(), FuInstance, II);
   for (size_t SU = 0; SU < Real.size(); ++SU) {
-    const Operation &U = Body.op(Real[SU]);
-    const FuKind KindU = Machine.unitFor(U.Opc);
-    const int InstU = FuInstance[static_cast<size_t>(Real[SU])];
-    // Residues an operation cannot occupy even alone (a non-pipelined
-    // reservation wrapping onto itself) are excluded for this rung.
+    const int SlotU = static_cast<int>(SU);
     for (int A = 0; A < II; ++A)
-      if (!Mrt.canPlace(U.Opc, KindU, InstU, A))
-        Solver.addClause({Guard, ~placedAt(static_cast<int>(SU), A)});
-    for (size_t SV = SU + 1; SV < Real.size(); ++SV) {
-      const Operation &V = Body.op(Real[SV]);
-      const FuKind KindV = Machine.unitFor(V.Opc);
-      const int InstV = FuInstance[static_cast<size_t>(Real[SV])];
-      if (KindU != KindV || InstU != InstV)
-        continue;
-      for (int A = 0; A < II; ++A) {
-        if (!Mrt.canPlace(U.Opc, KindU, InstU, A))
-          continue;
-        Mrt.place(U.Opc, KindU, InstU, A);
-        for (int B = 0; B < II; ++B)
-          if (!Mrt.canPlace(V.Opc, KindV, InstV, B))
-            Solver.addClause({Guard, ~placedAt(static_cast<int>(SU), A),
-                              ~placedAt(static_cast<int>(SV), B)});
-        Mrt.remove(U.Opc, KindU, InstU, A);
-      }
-    }
+      if (!Probe.fitsAlone(Real[SU], A))
+        Solver.addClause({Guard, ~placedAt(SlotU, A)});
+    for (size_t SV = SU + 1; SV < Real.size(); ++SV)
+      Probe.forEachConflict(Real[SU], Real[SV], [&](int A, int B) {
+        Solver.addClause({Guard, ~placedAt(SlotU, A),
+                          ~placedAt(static_cast<int>(SV), B)});
+      });
   }
 
-  // Pairwise dependence legality. Only mutually connected pairs (the same
-  // MinDist recurrence component) constrain residues: for a one-directional
-  // bound the later operation can always slide by whole IIs, so every
-  // residue pair admits integer times. For a mutual pair the two tightened
-  // bounds must not form a positive two-cycle; that condition depends only
-  // on the residue difference, so each infeasible difference yields II
-  // binary clauses. Positive cycles longer than two are handled lazily.
-  for (size_t SU = 0; SU < Real.size(); ++SU) {
-    const int U = Real[SU];
-    for (size_t SV = SU + 1; SV < Real.size(); ++SV) {
-      const int V = Real[SV];
-      if (!MinDist.connected(U, V) || !MinDist.connected(V, U))
-        continue;
-      const long CUV = MinDist.at(U, V);
-      const long CVU = MinDist.at(V, U);
-      for (int D = 0; D < II; ++D) {
-        if (tighten(CUV, D, II) + tighten(CVU, -D, II) <= 0)
-          continue;
-        for (int A = 0; A < II; ++A)
-          Solver.addClause({Guard, ~placedAt(static_cast<int>(SU), A),
-                            ~placedAt(static_cast<int>(SV),
-                                      (A + D) % II)});
-      }
-    }
-  }
-}
-
-void SatIILadder::decodeResidues(int II) {
-  Rho.assign(Real.size(), -1);
-  for (size_t S = 0; S < Real.size(); ++S) {
-    for (int R = 0; R < II; ++R) {
-      if (Solver.modelValue(ColBase[static_cast<size_t>(R)] +
-                            static_cast<int>(S))) {
-        assert(Rho[S] < 0 && "exactly-one constraint violated");
-        Rho[S] = R;
-      }
-    }
-    assert(Rho[S] >= 0 && "operation left unplaced by the model");
-  }
-}
-
-/// Max-plus Floyd-Warshall over the tightened constraint graph of the
-/// decoded residues. Returns false (setting CycleSlot) when some diagonal
-/// goes positive, i.e. no integer issue times realize these residues.
-bool SatIILadder::closeTightened(const MinDistMatrix &MinDist, int II) {
-  const size_t R = Real.size();
-  T.assign(R * R, NoPath);
-  for (size_t I = 0; I < R; ++I) {
-    for (size_t J = 0; J < R; ++J) {
-      if (I == J) {
-        T[I * R + J] = 0;
-        continue;
-      }
-      if (MinDist.connected(Real[I], Real[J]))
-        T[I * R + J] = tighten(MinDist.at(Real[I], Real[J]),
-                               Rho[J] - Rho[I], II);
-    }
-  }
-  for (size_t K = 0; K < R; ++K) {
-    for (size_t I = 0; I < R; ++I) {
-      const long IK = T[I * R + K];
-      if (!isPath(IK))
-        continue;
-      for (size_t J = 0; J < R; ++J) {
-        const long KJ = T[K * R + J];
-        if (!isPath(KJ))
-          continue;
-        long &Cell = T[I * R + J];
-        const long Via = satAdd(IK, KJ);
-        if (Via > Cell)
-          Cell = Via;
-      }
-    }
-    for (size_t I = 0; I < R; ++I) {
-      if (T[I * R + I] > 0) {
-        CycleSlot = static_cast<int>(I);
-        return false;
-      }
-    }
-  }
-  CycleSlot = -1;
-  return true;
-}
-
-/// Blocking clause for the positive cycle through CycleSlot: every
-/// operation mutually connected with it in the tightened graph keeps its
-/// current residue only if at least one of them moves. The cycle's arcs
-/// run entirely inside that strongly connected set and their weights
-/// depend only on those residues, so the cut is sound; it excludes the
-/// current model, so each refinement shrinks the finite residue space.
-std::vector<Lit> SatIILadder::cycleCut() const {
-  const size_t R = Real.size();
-  const size_t V = static_cast<size_t>(CycleSlot);
-  std::vector<Lit> Cut;
-  Cut.push_back(ActiveGuard); // the cut's weights are this rung's
-  for (size_t U = 0; U < R; ++U)
-    if (U == V || (isPath(T[V * R + U]) && isPath(T[U * R + V])))
-      Cut.push_back(~placedAt(static_cast<int>(U), Rho[U]));
-  return Cut;
-}
-
-/// Canonical earliest issue times from the positive-cycle-free closure:
-/// real operations at their longest tightened path from Start (whose
-/// outgoing bounds are clamped at zero, pinning t(Start) = 0 and every
-/// time non-negative), pseudo-operations at the earliest cycle consistent
-/// with every real operation — the same rule as the branch-and-bound
-/// engine's leaf materialization, justified by MinDist maximality.
-void SatIILadder::materializeTimes(const MinDistMatrix &MinDist, int II,
-                                   std::vector<int> &TimesOut) const {
-  const int Start = Body.startOp();
-  const size_t R = Real.size();
-  std::vector<long> Base(R, 0);
-  for (size_t I = 0; I < R; ++I) {
-    const long FromStart =
-        MinDist.connected(Start, Real[I]) ? MinDist.at(Start, Real[I]) : 0;
-    Base[I] = tighten(std::max(0L, FromStart), Rho[I], II);
-  }
-  std::vector<long> Time(R, 0);
-  for (size_t J = 0; J < R; ++J) {
-    long TJ = Base[J];
-    for (size_t I = 0; I < R; ++I)
-      if (isPath(T[I * R + J]))
-        TJ = std::max(TJ, Base[I] + T[I * R + J]);
-    Time[J] = TJ;
-  }
-
-  TimesOut.assign(static_cast<size_t>(N), 0);
-  for (size_t I = 0; I < R; ++I) {
-    assert(Time[I] % II == Rho[I] && "decoded time lost its residue");
-    TimesOut[static_cast<size_t>(Real[I])] = static_cast<int>(Time[I]);
-  }
-  for (int X = 0; X < N; ++X) {
-    if (X == Start || Slot[static_cast<size_t>(X)] >= 0)
-      continue;
-    long TX = std::max(0L, MinDist.connected(Start, X)
-                               ? MinDist.at(Start, X)
-                               : 0L);
-    for (size_t I = 0; I < R; ++I)
-      if (MinDist.connected(Real[I], X))
-        TX = std::max(TX, Time[I] + MinDist.at(Real[I], X));
-    TimesOut[static_cast<size_t>(X)] = static_cast<int>(TX);
-  }
-  TimesOut[static_cast<size_t>(Start)] = 0;
+  // Pairwise dependence legality; positive cycles longer than two are
+  // handled lazily.
+  forEachTwoCycle(MinDist, Real, [&](size_t SU, int A, size_t SV, int B) {
+    Solver.addClause({Guard, ~placedAt(static_cast<int>(SU), A),
+                      ~placedAt(static_cast<int>(SV), B)});
+  });
 }
 
 SatScheduleStatus SatIILadder::solveAtII(const MinDistMatrix &MinDist,
@@ -262,22 +74,9 @@ SatScheduleStatus SatIILadder::solveAtII(const MinDistMatrix &MinDist,
          "MinDist must hold the relation at the candidate II");
   assert(II >= LastII && "ladder rungs must be non-decreasing");
 
-  const SatSolverStats Before = Solver.stats();
-  const int VarsBefore = Solver.numVars();
-  const int ClausesBefore = Solver.numClauses();
-  const auto Snapshot = [&]() {
-    Stats.Variables += Solver.numVars() - VarsBefore;
-    Stats.Clauses += Solver.numClauses() - ClausesBefore;
-    Stats.Decisions += Solver.stats().Decisions - Before.Decisions;
-    Stats.Propagations += Solver.stats().Propagations - Before.Propagations;
-    Stats.Conflicts += Solver.stats().Conflicts - Before.Conflicts;
-    Stats.Restarts += Solver.stats().Restarts - Before.Restarts;
-    Stats.Learned += Solver.stats().Learned - Before.Learned;
-  };
-
-  if (ConflictBudget == 0) {
-    return SatScheduleStatus::Budget; // mirror NodeBudget = 0 semantics
-  }
+  const SolverDelta Delta(Solver);
+  if (Delta.conflictsLeft(ConflictBudget) <= 0)
+    return SatScheduleStatus::Budget;
 
   // Retire the previous rung: its activation literal becomes a permanent
   // fact, satisfying the whole group (and every learned clause guarded by
@@ -287,7 +86,7 @@ SatScheduleStatus SatIILadder::solveAtII(const MinDistMatrix &MinDist,
     ActiveGuard = Lit{};
   }
   if (!Solver.okay()) {
-    Snapshot();
+    Delta.addTo(Stats);
     return SatScheduleStatus::Infeasible;
   }
   if (ActiveGuard.Code < 0) {
@@ -299,12 +98,10 @@ SatScheduleStatus SatIILadder::solveAtII(const MinDistMatrix &MinDist,
 
   SatScheduleStatus Status = SatScheduleStatus::Budget;
   for (;;) {
-    const long Spent = Solver.stats().Conflicts - Before.Conflicts;
-    if (ConflictBudget >= 0 && Spent >= ConflictBudget)
-      break;
-    const long Remaining = ConflictBudget < 0 ? -1 : ConflictBudget - Spent;
-    const SatResult R =
-        Solver.solveUnderAssumptions({~ActiveGuard}, Remaining);
+    const long Left = Delta.conflictsLeft(ConflictBudget);
+    const SatResult R = Left <= 0 ? SatResult::Unknown
+                                  : Solver.solveUnderAssumptions(
+                                        {~ActiveGuard}, Left);
     if (R == SatResult::Unknown)
       break;
     if (R == SatResult::Unsat) {
@@ -315,17 +112,26 @@ SatScheduleStatus SatIILadder::solveAtII(const MinDistMatrix &MinDist,
       ActiveGuard = Lit{};
       break;
     }
-    decodeResidues(II);
-    if (closeTightened(MinDist, II)) {
-      materializeTimes(MinDist, II, TimesOut);
+    Closure.readModel(Solver, II, [&](size_t S, int Res) {
+      return ColBase[static_cast<size_t>(Res)] + static_cast<int>(S);
+    });
+    Closure.load(MinDist);
+    if (Closure.close()) {
+      Closure.decode(TimesOut);
       Status = SatScheduleStatus::Scheduled;
       break;
     }
-    Solver.addClause(cycleCut());
+    // Block the cycle's strongly connected residues; the cut's weights
+    // are this rung's, so it carries the rung guard.
+    std::vector<Lit> Cut{ActiveGuard};
+    for (size_t U = 0; U < Closure.Ops.Real.size(); ++U)
+      if (Closure.onCycle(U))
+        Cut.push_back(~placedAt(static_cast<int>(U), Closure.Rho[U]));
+    Solver.addClause(Cut);
     ++Stats.Refinements;
   }
 
-  Snapshot();
+  Delta.addTo(Stats);
   return Status;
 }
 

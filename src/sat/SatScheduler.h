@@ -44,6 +44,7 @@
 
 #include "graph/MinDist.h"
 #include "ir/DepGraph.h"
+#include "sat/ResidueSpace.h"
 #include "sat/SatSolver.h"
 
 #include <atomic>
@@ -57,20 +58,6 @@ enum class SatScheduleStatus : uint8_t {
   Scheduled,  ///< model found and decoded; TimesOut passes validateSchedule
   Infeasible, ///< formula (plus sound cuts) proven unsatisfiable
   Budget,     ///< conflict budget exhausted first
-};
-
-/// CDCL + encoder statistics for one fixed-II attempt. For ladder rungs
-/// after the first these are per-call deltas, so accumulating attempts
-/// never double-counts shared work.
-struct SatEngineStats {
-  long Variables = 0;
-  long Clauses = 0; ///< problem clauses added this attempt (incl. cuts)
-  long Decisions = 0;
-  long Propagations = 0;
-  long Conflicts = 0;
-  long Restarts = 0;
-  long Learned = 0;
-  long Refinements = 0; ///< lazy positive-cycle cuts added
 };
 
 /// Persistent incremental SAT context for one loop's II ladder. Rungs must
@@ -100,28 +87,15 @@ private:
   }
   void growColumns(int NewColumns);
   void encodeRung(Lit Guard, const MinDistMatrix &MinDist);
-  void decodeResidues(int II);
-  bool closeTightened(const MinDistMatrix &MinDist, int II);
-  std::vector<Lit> cycleCut() const;
-  void materializeTimes(const MinDistMatrix &MinDist, int II,
-                        std::vector<int> &TimesOut) const;
 
   const DepGraph &Graph;
-  const LoopBody &Body;
-  const MachineModel &Machine;
   const std::vector<int> FuInstance;
-  const int N;
+  TightenedClosure Closure; ///< over the decoded residues of each model
 
   SatSolver Solver;
-  std::vector<int> Real;    ///< op ids with a functional unit, ascending
-  std::vector<int> Slot;    ///< op id -> index in Real, -1 for pseudo-ops
   std::vector<int> ColBase; ///< residue column -> base variable index
   Lit ActiveGuard{};        ///< current rung's activation literal
   int LastII = 0;
-
-  std::vector<int> Rho; ///< decoded residue per real slot
-  std::vector<long> T;  ///< tightened closure over real slots
-  int CycleSlot = -1;   ///< diagonal violator when closure failed
 };
 
 /// Decides schedulability of \p Graph at the fixed II of \p MinDist (which
@@ -129,7 +103,7 @@ private:
 /// functional-unit assignment \p FuInstance. On Scheduled, \p TimesOut
 /// holds canonical earliest issue times consistent with the model's
 /// residues. \p ConflictBudget bounds total CDCL conflicts across
-/// refinement rounds; <= 0 gives up immediately (mirroring the
+/// refinement rounds; <= 0 gives up before any search (mirroring the
 /// branch-and-bound node budget). Deterministic. One-shot convenience
 /// wrapper over SatIILadder; ladder callers reuse the context instead.
 SatScheduleStatus scheduleAtIISat(const DepGraph &Graph,

@@ -14,6 +14,8 @@
 ///   --maxlive-node-budget=N           ExactOptions::MaxLiveNodeBudget
 ///   --maxlive-conflict-budget=N       ExactOptions::MaxLiveConflictBudget
 ///
+/// Every budget caps one attempt; N <= 0 gives up before any search.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LSMS_SERVICE_ENGINEFLAG_H

@@ -6,7 +6,7 @@
 #include "bounds/Lifetimes.h"
 #include "core/ModuloScheduler.h"
 #include "core/Validate.h"
-#include "exact/ExactScheduler.h"
+#include "exact/ExactEngine.h"
 #include "exact/Oracle.h"
 #include "workloads/Kernels.h"
 #include "workloads/Suite.h"

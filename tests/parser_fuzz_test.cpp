@@ -7,11 +7,14 @@
 /// output — asserting that the parser never crashes and that every
 /// *accepted* mutant round-trips through the AST printer (print -> parse
 /// -> structurally equal, and the second print is a fixpoint). Also pins
-/// the negative grammar cases for the while-exit clause.
+/// the negative grammar cases for the while-exit clause and the nesting
+/// bound: hostile depths are refused without a crash, and a tree exactly
+/// at MaxNestingDepth still compiles.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "frontend/AstPrinter.h"
+#include "frontend/LoopCompiler.h"
 #include "frontend/Parser.h"
 #include "support/Rng.h"
 #include "workloads/RandomLoop.h"
@@ -121,6 +124,35 @@ void checkRoundTrip(const Program &P, const std::string &Origin) {
   EXPECT_EQ(printProgram(*Again), Printed) << Origin;
 }
 
+/// A one-statement loop assigning \p Rhs to x[i].
+std::string assignLoop(const std::string &Rhs) {
+  return "loop i = 2, n\n  x[i] = " + Rhs + "\nend\n";
+}
+
+std::string repeat(const std::string &S, int Times) {
+  std::string Out;
+  for (int I = 0; I < Times; ++I)
+    Out += S;
+  return Out;
+}
+
+/// y[i] wrapped in \p Depth levels of each hostile shape: parentheses
+/// (parser recursion, no tree node), a left-deep sum (a tree the parser
+/// builds iteratively), unary minus (both), and nested if blocks.
+std::string nestedParens(int Depth) {
+  return assignLoop(repeat("(", Depth) + "y[i]" + repeat(")", Depth));
+}
+std::string sumChain(int Terms) {
+  return assignLoop("y[i]" + repeat(" + y[i]", Terms - 1));
+}
+std::string unaryChain(int Depth) {
+  return assignLoop(repeat("-", Depth) + "y[i]");
+}
+std::string nestedIfs(int Depth) {
+  return "loop i = 2, n\n" + repeat("if (y[i] > 0) then\n", Depth) +
+         "x[i] = y[i]\n" + repeat("end\n", Depth) + "end\n";
+}
+
 std::vector<std::string> fuzzCorpus() {
   std::vector<std::string> Corpus;
   for (const NamedKernel &K : kernelSources())
@@ -208,5 +240,40 @@ TEST(ParserFuzz, WhileClauseNegativeCases) {
       EXPECT_NE(Err.find(Case.ErrorNeedle), std::string::npos)
           << "wanted '" << Case.ErrorNeedle << "' in: " << Err;
     }
+  }
+}
+
+TEST(ParserFuzz, HostileNestingIsRefusedWithoutCrashing) {
+  // Each of these segfaulted the parser, the AST walkers or the tree's
+  // destructor before the depth bound existed.
+  const std::string Hostile[] = {nestedParens(100000), sumChain(100000),
+                                 unaryChain(100000), nestedIfs(50000)};
+  for (const std::string &Source : Hostile) {
+    std::string Err;
+    EXPECT_EQ(parseProgram(Source, Err), nullptr);
+    EXPECT_NE(Err.find("nested deeper than"), std::string::npos) << Err;
+    LoopBody Body;
+    EXPECT_NE(compileLoop(Source, "hostile", Body), "");
+  }
+}
+
+TEST(ParserFuzz, NestingAtTheLimitCompilesAndOneMoreIsRefused) {
+  const int Max = MaxNestingDepth;
+  // At the limit: a sum and a unary chain of tree height Max, y[i] at
+  // parser level Max inside Max - 1 parentheses (they add parser levels but
+  // no tree levels), and Max nested if blocks.
+  const std::string AtLimit[] = {nestedParens(Max - 1), sumChain(Max),
+                                 unaryChain(Max - 1), nestedIfs(Max)};
+  const std::string PastLimit[] = {nestedParens(Max), sumChain(Max + 1),
+                                   unaryChain(Max), nestedIfs(Max + 1)};
+  for (const std::string &Source : AtLimit) {
+    LoopBody Body;
+    EXPECT_EQ(compileLoop(Source, "at_limit", Body), "")
+        << Source.substr(0, 60);
+  }
+  for (const std::string &Source : PastLimit) {
+    std::string Err;
+    EXPECT_EQ(parseProgram(Source, Err), nullptr) << Source.substr(0, 60);
+    EXPECT_NE(Err.find("nested deeper than"), std::string::npos) << Err;
   }
 }

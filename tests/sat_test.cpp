@@ -7,8 +7,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "bounds/Bounds.h"
+#include "cgra/CgraModel.h"
 #include "core/FuAssignment.h"
 #include "core/Validate.h"
+#include "sat/CgraSat.h"
+#include "sat/MaxLiveSat.h"
 #include "sat/SatScheduler.h"
 #include "sat/SatSolver.h"
 #include "workloads/Kernels.h"
@@ -260,6 +263,40 @@ TEST(SatScheduler, ZeroBudgetGivesUpImmediately) {
   SatEngineStats Stats;
   EXPECT_EQ(satAt(Graph, Bounds.MII, /*Budget=*/0, Stats),
             SatScheduleStatus::Budget);
+}
+
+TEST(SatScheduler, NegativeBudgetGivesUpBeforeSearch) {
+  // One budget rule for every SAT entry point: a budget <= 0 reports the
+  // budget outcome without a single decision or conflict.
+  const LoopBody Body = buildSampleLoop();
+  const MachineModel Machine = MachineModel::cydra5();
+  const DepGraph Graph(Body, Machine);
+  MinDistMatrix MinDist;
+  ASSERT_TRUE(MinDist.compute(Graph, computeMII(Graph).MII));
+  const std::vector<int> FuInstance = assignFunctionalUnits(Body, Machine);
+  std::vector<int> Times, Pes;
+  SatEngineStats Stats;
+  EXPECT_EQ(scheduleAtIISat(Graph, MinDist, FuInstance, /*Budget=*/-1,
+                            Times, Stats),
+            SatScheduleStatus::Budget);
+  EXPECT_EQ(Stats.Decisions + Stats.Conflicts, 0);
+
+  const SatMaxLiveResult MaxLive =
+      minimizeMaxLiveSat(Graph, MinDist, FuInstance, /*ConflictBudget=*/-1,
+                         /*MinAvg=*/0, /*UpperCap=*/1000);
+  EXPECT_FALSE(MaxLive.SearchComplete);
+  EXPECT_EQ(MaxLive.FamilyMin, -1);
+  EXPECT_EQ(MaxLive.Stats.Decisions + MaxLive.Stats.Conflicts, 0);
+
+  const CgraModel Cgra = CgraModel::defaultGrid(4, 4);
+  const DepGraph Spatial(Body, Cgra.flatModel());
+  MinDistMatrix SpatialDist;
+  ASSERT_TRUE(SpatialDist.compute(Spatial, computeMII(Spatial).MII));
+  SatEngineStats SpatialStats;
+  EXPECT_EQ(mapAtIICgraSat(Spatial, Cgra, SpatialDist, /*Budget=*/-1, Times,
+                           Pes, SpatialStats),
+            CgraSatStatus::Budget);
+  EXPECT_EQ(SpatialStats.Decisions + SpatialStats.Conflicts, 0);
 }
 
 TEST(SatScheduler, StatsArePopulated) {

@@ -270,6 +270,21 @@ TEST(ServiceTest, ParseErrorsBecomeErrorResponses) {
   EXPECT_EQ(Service.metrics().counter("requests_parse_errors"), 1);
 }
 
+TEST(ServiceTest, DeeplyNestedSourceIsACompileError) {
+  // 100,000 nested parentheses (~200 KB, under the server's line cap) once
+  // overflowed the stack; now the parser refuses the depth.
+  const std::string Source = "loop i = 2, n\\n  x[i] = " +
+                             std::string(100000, '(') + "y[i]" +
+                             std::string(100000, ')') + "\\nend";
+  SchedulingService Service;
+  const std::string Response =
+      Service.handleLine("{\"source\": \"" + Source + "\"}", 0).toJsonl();
+  EXPECT_NE(Response.find("\"error_code\":\"compile_error\""),
+            std::string::npos)
+      << Response.substr(0, 200);
+  EXPECT_NE(Response.find("nested deeper than"), std::string::npos);
+}
+
 TEST(ServiceTest, MetricsJsonMentionsBothCaches) {
   SchedulingService Service;
   ASSERT_TRUE(Service.handle(kernelRequest("daxpy")).Ok);
