@@ -2,8 +2,8 @@
 
 #include "bounds/Lifetimes.h"
 #include "graph/MinDist.h"
+#include "service/EngineFlag.h"
 
-#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -43,25 +43,15 @@ SchedOutcome lsms::runScheduler(const LoopBody &Body,
   return O;
 }
 
-namespace {
-
-/// Parses all of \p S as a decimal int; false on anything else.
-bool parseInt(const char *S, int &Out) {
-  const char *End = S + std::strlen(S);
-  const auto [Ptr, Ec] = std::from_chars(S, End, Out);
-  return Ec == std::errc() && Ptr == End;
-}
-
-} // namespace
-
 int lsms::suiteSizeFromArgs(int Argc, char **Argv, int Default, int *Jobs) {
   int Size = 0;
   bool Ok = true;
   for (int I = 1; I < Argc && Ok; ++I) {
     if (Jobs && std::strcmp(Argv[I], "--jobs") == 0)
-      Ok = I + 1 < Argc && parseInt(Argv[++I], *Jobs) && *Jobs >= 0;
+      Ok = I + 1 < Argc && parseWholeInteger(Argv[++I], *Jobs) &&
+           *Jobs >= 0;
     else
-      Ok = Size == 0 && parseInt(Argv[I], Size) && Size > 0;
+      Ok = Size == 0 && parseWholeInteger(Argv[I], Size) && Size > 0;
   }
   if (!Ok) {
     const char *Slash = std::strrchr(Argv[0], '/');

@@ -48,44 +48,23 @@ std::string exactIIString(const ExactResult &Exact) {
 /// --cgra mode: the placement-aware slack mapper vs the exact SAT spatial
 /// mapper on the kernel suite, mapped onto \p Cgra. Returns the exit code.
 int runCgraComparison(const CgraModel &Cgra) {
+  CgraOracleOptions Options;
+  Options.Cgra = Cgra;
+  Options.NumLoops = 0; // the kernel suite alone
+  const CgraOracleReport Report = runCgraOracle(Options);
   TextTable T;
   T.setHeader({"kernel", "ops", "flatMII", "II slk", "II ex", "status",
                "gap"});
-  int Disagreements = 0, AboveFlat = 0;
-  for (const LoopBody &Body : buildKernelSuite()) {
-    const DepGraph Graph(Body, Cgra.flatModel());
-    const CgraMapping Heur = mapLoopCgra(Graph, Cgra);
-    const CgraExactResult Exact = mapLoopCgraExact(Graph, Cgra);
-    std::string HeurErr, ExactErr;
-    if (Heur.Success)
-      HeurErr = validateMapping(Graph, Cgra, Heur);
-    if (Exact.Map.Success)
-      ExactErr = validateMapping(Graph, Cgra, Exact.Map);
-    if (!HeurErr.empty() || !ExactErr.empty() ||
-        (Exact.Status == ExactStatus::Optimal && Heur.Success &&
-         Heur.II < Exact.Map.II)) {
-      std::cerr << Body.Name << ": "
-                << (!HeurErr.empty()
-                        ? "heuristic mapping invalid: " + HeurErr
-                    : !ExactErr.empty()
-                        ? "exact mapping invalid: " + ExactErr
-                        : "heuristic II beats a proven-optimal II")
-                << "\n";
-      ++Disagreements;
-    }
-    if (Exact.Status == ExactStatus::Optimal &&
-        Exact.Map.II > Exact.Map.MII)
-      ++AboveFlat;
-    const bool ExactMapped = Exact.Map.Success;
-    T.addRow({Body.Name, std::to_string(Body.numMachineOps()),
-              std::to_string(Exact.Map.MII),
-              Heur.Success ? std::to_string(Heur.II) : "-",
-              ExactMapped ? std::to_string(Exact.Map.II) : "-",
-              exactStatusName(Exact.Status),
-              Heur.Success && ExactMapped
-                  ? std::to_string(Heur.II - Exact.Map.II)
-                  : "-"});
-  }
+  for (const CgraOracleCase &Case : Report.Cases)
+    T.addRow({Case.Name, std::to_string(Case.Ops),
+              std::to_string(Case.FlatMII),
+              Case.HeurSuccess ? std::to_string(Case.HeurII) : "-",
+              Case.Status == ExactStatus::Optimal ||
+                      Case.Status == ExactStatus::Feasible
+                  ? std::to_string(Case.ExactII)
+                  : "-",
+              exactStatusName(Case.Status),
+              Case.IIGapValid ? std::to_string(Case.IIGap) : "-"});
 
   std::cout << "Spatial mapping comparison on the kernel suite\n"
             << "(grid " << Cgra.describe()
@@ -94,8 +73,9 @@ int runCgraComparison(const CgraModel &Cgra) {
                "= slk II - ex II)\n\n";
   T.print(std::cout);
   std::cout << "\nKernels whose certified spatial II exceeds the flat MII: "
-            << AboveFlat << " (the grid constraints bind there)\n";
-  return Disagreements == 0 ? 0 : 1;
+            << Report.AboveFlatMII << " (the grid constraints bind there)\n";
+  Report.Failures.print(std::cerr);
+  return Report.failures() == 0 ? 0 : 1;
 }
 
 } // namespace

@@ -1,12 +1,10 @@
 #include "cgra/CgraOracle.h"
 
 #include "bounds/Bounds.h"
-#include "support/ParallelFor.h"
 #include "support/Table.h"
 #include "workloads/Suite.h"
 
 #include <ostream>
-#include <sstream>
 
 using namespace lsms;
 
@@ -56,8 +54,6 @@ CgraOracleCase lsms::runCgraOracleCase(const LoopBody &Body,
   Case.FlatMII = Heur.MII;
   Case.HeurSuccess = Heur.Success;
   Case.HeurII = Heur.II;
-  Case.HeurEjections = Heur.Ejections;
-  Case.HeurAttempts = Heur.Attempts;
   if (Heur.Success)
     Case.HeurError = validateMapping(Graph, Options.Cgra, Heur);
 
@@ -65,8 +61,6 @@ CgraOracleCase lsms::runCgraOracleCase(const LoopBody &Body,
       mapLoopCgraExact(Graph, Options.Cgra, Options.Exact);
   Case.Status = Exact.Status;
   Case.ExactII = Exact.Map.II;
-  Case.ExactConflicts = Exact.Sat.Conflicts;
-  Case.ExactRefinements = Exact.Sat.Refinements;
   if (Exact.Map.Success)
     Case.ExactError = validateMapping(Graph, Options.Cgra, Exact.Map);
 
@@ -77,16 +71,13 @@ CgraOracleCase lsms::runCgraOracleCase(const LoopBody &Body,
   Case.AboveFlatMII =
       Case.Status == ExactStatus::Optimal && Case.ExactII > Case.FlatMII;
 
-  std::ostringstream Parity;
-  if (Case.Status == ExactStatus::Optimal && Case.HeurSuccess &&
-      Case.HeurII < Case.ExactII)
-    Parity << "heuristic II " << Case.HeurII
-           << " beats proven-optimal II " << Case.ExactII;
-  else if (Case.Status == ExactStatus::Infeasible && Case.HeurSuccess &&
-           Case.HeurError.empty())
-    Parity << "heuristic mapped at II " << Case.HeurII
-           << " a loop SAT proved unmappable";
-  Case.ParityError = Parity.str();
+  Case.ParityError = belowProvenII("heuristic", Case.HeurSuccess,
+                                   Case.HeurII, Case.Status, Case.ExactII);
+  if (Case.Status == ExactStatus::Infeasible && Case.HeurSuccess &&
+      Case.HeurError.empty())
+    Case.ParityError = "heuristic mapped at II " +
+                       std::to_string(Case.HeurII) +
+                       " a loop SAT proved unmappable";
   return Case;
 }
 
@@ -103,13 +94,9 @@ CgraOracleReport lsms::runCgraOracle(const CgraOracleOptions &Options) {
   for (LoopBody &Body : Random)
     Loops.push_back(std::move(Body));
 
-  const int N = static_cast<int>(Loops.size());
-  Report.Cases.resize(static_cast<size_t>(N));
-  parallelFor(resolveJobs(Options.Jobs), N, [&](int I) {
-    Report.Cases[static_cast<size_t>(I)] =
-        runCgraOracleCase(Loops[static_cast<size_t>(I)], Options);
+  Report.Cases = runOracleCases(Loops, Options.Jobs, [&](const LoopBody &B) {
+    return runCgraOracleCase(B, Options);
   });
-
   for (const CgraOracleCase &Case : Report.Cases) {
     if (Case.HeurSuccess)
       ++Report.HeurMapped;
@@ -130,6 +117,9 @@ CgraOracleReport lsms::runCgraOracle(const CgraOracleOptions &Options) {
       ++Report.ValidationFailures;
     if (!Case.ParityError.empty())
       ++Report.ParityViolations;
+    Report.Failures.invalid(Case.Name, "heuristic mapping", Case.HeurError);
+    Report.Failures.invalid(Case.Name, "exact mapping", Case.ExactError);
+    Report.Failures.add(Case.Name, Case.ParityError);
   }
   return Report;
 }
@@ -166,14 +156,5 @@ void lsms::printCgraOracleReport(std::ostream &OS,
      << Report.Infeasible << "\n";
   OS << "Validation failures: " << Report.ValidationFailures
      << "  parity violations: " << Report.ParityViolations << "\n";
-  for (const CgraOracleCase &Case : Report.Cases) {
-    if (!Case.HeurError.empty())
-      OS << "  " << Case.Name << ": heuristic mapping invalid: "
-         << Case.HeurError << "\n";
-    if (!Case.ExactError.empty())
-      OS << "  " << Case.Name << ": exact mapping invalid: "
-         << Case.ExactError << "\n";
-    if (!Case.ParityError.empty())
-      OS << "  " << Case.Name << ": parity: " << Case.ParityError << "\n";
-  }
+  Report.Failures.print(OS);
 }

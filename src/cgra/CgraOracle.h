@@ -16,7 +16,7 @@
 #define LSMS_CGRA_CGRAORACLE_H
 
 #include "cgra/CgraMapper.h"
-#include "exact/ExactEngine.h"
+#include "exact/Oracle.h"
 #include "sat/CgraSat.h"
 
 #include <cstdint>
@@ -69,20 +69,15 @@ struct CgraOracleOptions {
 
 /// One loop's spatial differential result.
 struct CgraOracleCase {
-  uint64_t Seed = 0;
   std::string Name;
   int Ops = 0;
   int FlatMII = 0; ///< flat-machine lower bound
 
   bool HeurSuccess = false;
   int HeurII = 0;
-  long HeurEjections = 0;
-  long HeurAttempts = 0;
 
   ExactStatus Status = ExactStatus::Timeout;
   int ExactII = 0;
-  long ExactConflicts = 0;
-  long ExactRefinements = 0;
 
   bool IIGapValid = false; ///< both mappers produced a mapping
   int IIGap = 0;           ///< HeurII - ExactII
@@ -111,6 +106,9 @@ struct CgraOracleReport {
   int Infeasible = 0;
   int ValidationFailures = 0;
   int ParityViolations = 0;
+  OracleFailures Failures;
+
+  int failures() const { return static_cast<int>(Failures.Lines.size()); }
 };
 
 /// Runs one loop through both mappers and the validator. Pure; safe to
@@ -122,7 +120,8 @@ CgraOracleCase runCgraOracleCase(const LoopBody &Body,
 CgraOracleReport runCgraOracle(const CgraOracleOptions &Options =
                                    CgraOracleOptions());
 
-/// Prints the per-loop table and the summary counters (no timings).
+/// Prints the per-loop table, the summary counters and the failures (no
+/// timings).
 void printCgraOracleReport(std::ostream &OS, const CgraOracleReport &Report);
 
 } // namespace lsms

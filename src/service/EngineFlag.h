@@ -1,7 +1,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one --engine flag grammar shared by every CLI tool (exact_gap,
+/// The one --engine flag grammar shared by every CLI tool (gap_report,
 /// perf_report, scheduler_comparison, schedule_service, schedule_server),
 /// so the spellings, the "both" sweep selector, and the exact-budget
 /// knobs cannot drift between tools:
@@ -14,7 +14,9 @@
 ///   --maxlive-node-budget=N           ExactOptions::MaxLiveNodeBudget
 ///   --maxlive-conflict-budget=N       ExactOptions::MaxLiveConflictBudget
 ///
-/// Every budget caps one attempt; N <= 0 gives up before any search.
+/// Every budget caps one attempt; N <= 0 gives up before any search. N
+/// must be a whole decimal integer: "1M" or "" is refused, not read as 1
+/// or 0.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,8 +26,10 @@
 #include "exact/ExactEngine.h"
 #include "service/Protocol.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <string>
+#include <string_view>
+#include <utility>
 
 namespace lsms {
 
@@ -87,30 +91,37 @@ inline bool parseEngineSelection(const std::string &Name, bool AllowSlack,
   return true;
 }
 
+/// Parses all of \p Text as a decimal integer of \p Out's type: the one
+/// rule for every number a tool reads from its command line. Returns false,
+/// leaving \p Out untouched, on an empty value, trailing text or a value
+/// out of range.
+template <typename T> bool parseWholeInteger(std::string_view Text, T &Out) {
+  const char *Last = Text.data() + Text.size();
+  T Value{};
+  const auto [Ptr, Ec] = std::from_chars(Text.data(), Last, Value);
+  if (Ec != std::errc() || Ptr != Last)
+    return false;
+  Out = Value;
+  return true;
+}
+
 /// Applies one exact-budget flag of the form --<knob>=N to \p Options.
-/// Returns false when \p Arg is not a budget flag (the caller keeps
-/// parsing); unparseable values fall back to strtol semantics (0).
+/// Returns false, leaving \p Options untouched, when \p Arg is not a
+/// budget flag or N is not a whole decimal integer in range; the caller
+/// then treats \p Arg as it treats any flag it does not know.
 inline bool applyExactBudgetFlag(const std::string &Arg,
                                  ExactOptions &Options) {
-  const auto valueOf = [&](size_t Prefix) {
-    return std::strtol(Arg.c_str() + Prefix, nullptr, 10);
-  };
-  if (Arg.rfind("--node-budget=", 0) == 0) {
-    Options.NodeBudget = valueOf(14);
-    return true;
-  }
-  if (Arg.rfind("--sat-conflict-budget=", 0) == 0) {
-    Options.SatConflictBudget = valueOf(22);
-    return true;
-  }
-  if (Arg.rfind("--maxlive-node-budget=", 0) == 0) {
-    Options.MaxLiveNodeBudget = valueOf(22);
-    return true;
-  }
-  if (Arg.rfind("--maxlive-conflict-budget=", 0) == 0) {
-    Options.MaxLiveConflictBudget = valueOf(26);
-    return true;
-  }
+  static constexpr std::pair<std::string_view, long ExactOptions::*>
+      Knobs[] = {
+          {"--node-budget=", &ExactOptions::NodeBudget},
+          {"--sat-conflict-budget=", &ExactOptions::SatConflictBudget},
+          {"--maxlive-node-budget=", &ExactOptions::MaxLiveNodeBudget},
+          {"--maxlive-conflict-budget=", &ExactOptions::MaxLiveConflictBudget},
+      };
+  for (const auto &[Prefix, Field] : Knobs)
+    if (Arg.rfind(Prefix, 0) == 0)
+      return parseWholeInteger(std::string_view(Arg).substr(Prefix.size()),
+                               Options.*Field);
   return false;
 }
 

@@ -3,7 +3,6 @@
 #include "core/ModuloScheduler.h"
 #include "core/Validate.h"
 #include "ir/DepGraph.h"
-#include "support/ParallelFor.h"
 #include "support/Table.h"
 #include "vliwsim/Replay.h"
 #include "workloads/Suite.h"
@@ -32,7 +31,6 @@ IrregularCase lsms::runIrregularCase(const LoopBody &Body,
 
   const Schedule ConsS = scheduleLoop(ConsG, Options.Heuristic);
   Schedule SpecS = scheduleLoop(SpecG, Options.Heuristic);
-  Case.ConsMII = ConsS.MII;
   Case.SpecMII = SpecS.MII;
   Case.ConsSuccess = ConsS.Success;
   if (ConsS.Success) {
@@ -154,6 +152,24 @@ lsms::aggregateIrregularCases(const IrregularOptions &Options,
       ++Report.ValidationFailures;
     if (!Case.TraceError.empty())
       ++Report.TraceFailures;
+    Report.Failures.invalid(Case.Name, "conservative schedule",
+                            Case.ConsError);
+    Report.Failures.invalid(Case.Name, "speculative schedule",
+                            Case.SpecError);
+    Report.Failures.add(Case.Name, belowProvenII("conservative heuristic",
+                                                 Case.ConsSuccess, Case.ConsII,
+                                                 Case.ConsStatus,
+                                                 Case.ConsExactII));
+    Report.Failures.add(Case.Name, belowProvenII("speculative heuristic",
+                                                 Case.SpecSuccess, Case.SpecII,
+                                                 Case.SpecStatus,
+                                                 Case.SpecExactII));
+    Report.Failures.add(Case.Name, Case.TraceError);
+    if (Case.IIGapValid && Case.IIGap < 0)
+      Report.Failures.add(Case.Name,
+                          "speculative II " + std::to_string(Case.SpecII) +
+                              " exceeds conservative II " +
+                              std::to_string(Case.ConsII));
   }
   return Report;
 }
@@ -161,15 +177,10 @@ lsms::aggregateIrregularCases(const IrregularOptions &Options,
 IrregularReport lsms::runIrregularSweep(const IrregularOptions &Options) {
   const std::vector<LoopBody> Suite = buildIrregularSuite(
       Options.NumLoops, Options.MaxOps, Options.Seed, Options.Jobs);
-  // Disjoint result slots + index-ordered merge: byte-identical report at
-  // every job count.
-  std::vector<IrregularCase> Cases(Suite.size());
-  parallelFor(resolveJobs(Options.Jobs), static_cast<int>(Suite.size()),
-              [&](int I) {
-                Cases[static_cast<size_t>(I)] =
-                    runIrregularCase(Suite[static_cast<size_t>(I)], Options);
-              });
-  return aggregateIrregularCases(Options, std::move(Cases));
+  return aggregateIrregularCases(
+      Options, runOracleCases(Suite, Options.Jobs, [&](const LoopBody &B) {
+        return runIrregularCase(B, Options);
+      }));
 }
 
 void lsms::printIrregularReport(std::ostream &OS,
@@ -225,4 +236,5 @@ void lsms::printIrregularReport(std::ostream &OS,
      << ")\n"
      << "  validation failures:     " << Report.ValidationFailures << "\n"
      << "  trace failures:          " << Report.TraceFailures << "\n";
+  Report.Failures.print(OS);
 }

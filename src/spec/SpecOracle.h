@@ -20,7 +20,7 @@
 #define LSMS_SPEC_SPECORACLE_H
 
 #include "core/SchedulerOptions.h"
-#include "exact/ExactEngine.h"
+#include "exact/Oracle.h"
 #include "spec/Speculation.h"
 
 #include <cstdint>
@@ -63,7 +63,7 @@ struct IrregularCase {
   bool ConsSuccess = false;
   bool SpecSuccess = false;
   int ConsII = 0, SpecII = 0;
-  int ConsMII = 0, SpecMII = 0;
+  int SpecMII = 0;
   /// The heuristic's speculative schedule was replaced by the conservative
   /// one (which is always legal for the speculative body) because it
   /// failed or landed on a higher II.
@@ -119,6 +119,9 @@ struct IrregularReport {
   long TotalMisspeculatedStores = 0;
   int ValidationFailures = 0;
   int TraceFailures = 0;
+  OracleFailures Failures;
+
+  int failures() const { return static_cast<int>(Failures.Lines.size()); }
 };
 
 /// Runs both lowerings of one body through the heuristic + exact engines
@@ -130,13 +133,14 @@ IrregularCase runIrregularCase(const LoopBody &Body,
 /// Deterministic: depends only on \p Options.
 IrregularReport runIrregularSweep(const IrregularOptions &Options = {});
 
-/// Aggregates \p Cases into a report (exposed so tests and perf_report can
-/// sweep their own suites — e.g. the hand-written kernels).
+/// Aggregates \p Cases into a report and applies the failure rule (exposed
+/// so tests can aggregate their own cases).
 IrregularReport aggregateIrregularCases(const IrregularOptions &Options,
                                         std::vector<IrregularCase> Cases);
 
-/// Prints the per-loop table and summary counters. Deterministic (no
-/// timings), so the output can serve as a golden regression reference.
+/// Prints the per-loop table, the summary counters and the failures.
+/// Deterministic (no timings), so the output can serve as a golden
+/// regression reference.
 void printIrregularReport(std::ostream &OS, const IrregularReport &Report);
 
 } // namespace lsms

@@ -280,6 +280,7 @@ TEST(CgraExact, ParityAndDeterminismOnSmallGrid) {
   const CgraOracleReport A = runCgraOracle(Options);
   EXPECT_EQ(A.ValidationFailures, 0);
   EXPECT_EQ(A.ParityViolations, 0);
+  EXPECT_EQ(A.failures(), 0);
   EXPECT_EQ(static_cast<int>(A.Cases.size()), 12);
   for (const CgraOracleCase &Case : A.Cases) {
     if (Case.Status == ExactStatus::Optimal && Case.HeurSuccess) {

@@ -149,6 +149,40 @@ TEST(IrregularProperty, TwoHundredSeededLoops) {
   EXPECT_GT(MayAlias, 200);
 }
 
+// Beyond the shared rule (a rejected schedule, a heuristic II below a
+// proven-minimal II), an irregular loop fails when a replay diverges from
+// its trace or its speculative II exceeds its conservative II.
+TEST(IrregularReport, FailureRuleCountsAndListsFailures) {
+  IrregularCase Above;
+  Above.Name = "above";
+  Above.ConsSuccess = Above.SpecSuccess = true;
+  Above.ConsII = 4;
+  Above.SpecII = 5;
+  Above.IIGapValid = true;
+  Above.IIGap = -1;
+  IrregularCase Diverged;
+  Diverged.Name = "diverged";
+  Diverged.TraceError = "conservative schedule diverged from reference";
+  IrregularCase Below;
+  Below.Name = "below";
+  Below.SpecSuccess = true;
+  Below.SpecII = 2;
+  Below.SpecStatus = ExactStatus::Optimal;
+  Below.SpecExactII = 3;
+
+  const IrregularReport Report = aggregateIrregularCases(
+      IrregularOptions(), {Above, Diverged, Below});
+  EXPECT_EQ(Report.failures(), 3);
+  EXPECT_EQ(Report.TraceFailures, 1);
+  std::ostringstream OS;
+  printIrregularReport(OS, Report);
+  EXPECT_TRUE(OS.str().ends_with(
+      "\n  above: speculative II 5 exceeds conservative II 4\n"
+      "  diverged: conservative schedule diverged from reference\n"
+      "  below: speculative heuristic II 2 below proven-minimal II 3\n"))
+      << OS.str();
+}
+
 TEST(IrregularReport, ByteIdenticalAcrossJobCounts) {
   IrregularOptions Options;
   Options.NumLoops = 10;

@@ -11,6 +11,7 @@
 #include "core/Validate.h"
 #include "frontend/LoopCompiler.h"
 #include "ir/DepGraph.h"
+#include "service/EngineFlag.h"
 #include "workloads/Suite.h"
 
 #include <gtest/gtest.h>
@@ -69,6 +70,31 @@ TEST(ServiceParseTest, RejectsMalformedRequests) {
   // Negative II cap.
   EXPECT_FALSE(SchedulingService::parseRequestLine(
       "{\"kernel\": \"daxpy\", \"max_ii\": -1}", Req, Err));
+}
+
+// Every tool reads its exact budgets through applyExactBudgetFlag: a
+// value that is not a whole decimal integer is refused and changes nothing
+// (it used to be read as its leading digits, so "1M" became a budget of 1).
+TEST(ServiceParseTest, BudgetFlagsTakeWholeIntegersOnly) {
+  for (const char *Bad :
+       {"--node-budget=1M", "--node-budget=", "--node-budget=lots"}) {
+    ExactOptions Options;
+    EXPECT_FALSE(applyExactBudgetFlag(Bad, Options)) << Bad;
+    EXPECT_EQ(Options.NodeBudget, ExactOptions().NodeBudget) << Bad;
+  }
+  for (const long Good : {-1L, 0L, 262144L}) {
+    ExactOptions Options;
+    EXPECT_TRUE(applyExactBudgetFlag(
+        "--node-budget=" + std::to_string(Good), Options));
+    EXPECT_EQ(Options.NodeBudget, Good);
+  }
+  ExactOptions Options;
+  EXPECT_TRUE(applyExactBudgetFlag("--sat-conflict-budget=11", Options));
+  EXPECT_TRUE(applyExactBudgetFlag("--maxlive-node-budget=12", Options));
+  EXPECT_TRUE(applyExactBudgetFlag("--maxlive-conflict-budget=13", Options));
+  EXPECT_EQ(Options.SatConflictBudget, 11);
+  EXPECT_EQ(Options.MaxLiveNodeBudget, 12);
+  EXPECT_EQ(Options.MaxLiveConflictBudget, 13);
 }
 
 TEST(ServiceParseTest, DefaultEngineApplies) {
