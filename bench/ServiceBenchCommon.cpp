@@ -144,9 +144,10 @@ std::vector<std::string> lsms::serviceBenchCorpus(int RandomCount,
 
 ServiceBenchResult
 lsms::runServiceBench(const std::vector<std::string> &Corpus,
-                      ServiceEngine Engine, int WarmPasses,
-                      const ServiceConfig &Config) {
+                      ServiceEngine Engine, int WarmPasses) {
   constexpr int Pairs = 5;
+  ServiceConfig Config;
+  Config.Jobs = 1;
   std::vector<ServiceRequest> Requests;
   Requests.reserve(Corpus.size());
   for (size_t I = 0; I < Corpus.size(); ++I) {

@@ -1,12 +1,11 @@
 //===----------------------------------------------------------------------===//
 /// \file Google-benchmark micro-benchmarks for the scheduler's component
-/// costs: dependence-graph construction, RecMII (circuit scan vs min-ratio
-/// cycle), MinDist, and end-to-end scheduling, by loop size.
+/// costs: dependence-graph construction, RecMII (min-ratio cycle),
+/// MinDist, and end-to-end scheduling, by loop size.
 //===----------------------------------------------------------------------===//
 
 #include "bounds/Bounds.h"
 #include "core/ModuloScheduler.h"
-#include "graph/Circuits.h"
 #include "graph/MinDist.h"
 #include "graph/MinRatioCycle.h"
 #include "workloads/RandomLoop.h"
@@ -46,19 +45,6 @@ void BM_RecMIIByRatio(benchmark::State &State) {
     benchmark::DoNotOptimize(computeRecMIIByRatio(Graph));
 }
 BENCHMARK(BM_RecMIIByRatio)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_RecMIIByCircuitScan(benchmark::State &State) {
-  const LoopBody Body = loopOfSize(static_cast<int>(State.range(0)));
-  const DepGraph Graph(Body, machine());
-  for (auto _ : State) {
-    const CircuitScan Scan = findElementaryCircuits(Graph);
-    int RecMII = 1;
-    for (const Circuit &C : Scan.Circuits)
-      RecMII = std::max(RecMII, circuitRecMII(Graph, C.Nodes));
-    benchmark::DoNotOptimize(RecMII);
-  }
-}
-BENCHMARK(BM_RecMIIByCircuitScan)->Arg(16)->Arg(64);
 
 void BM_MinDist(benchmark::State &State) {
   const LoopBody Body = loopOfSize(static_cast<int>(State.range(0)));

@@ -217,16 +217,14 @@ int main(int Argc, char **Argv) {
                IrregularSection);
 
   // -- Scheduling service: cold vs warm (cache-hit) throughput over the
-  // deterministic corpus, plus the byte-identity check across workers. ----
+  // deterministic corpus on one worker, plus the byte-identity check
+  // across worker counts. -------------------------------------------------
   ServiceBenchResult Service;
   bool ServiceByteIdentical = true;
   {
     const std::vector<std::string> Corpus =
         serviceBenchCorpus(Smoke ? 8 : 75, Seed);
-    ServiceConfig Config;
-    Config.Jobs = JobsN;
-    Service = runServiceBench(Corpus, ServiceEngine::Slack, Smoke ? 3 : 10,
-                              Config);
+    Service = runServiceBench(Corpus, ServiceEngine::Slack, Smoke ? 3 : 10);
     const std::vector<std::string> Streams =
         serviceResponsesAtJobs(Corpus, ServiceEngine::Slack, {1, 2, JobsN});
     for (size_t I = 1; I < Streams.size(); ++I)
@@ -502,6 +500,7 @@ int main(int Argc, char **Argv) {
        << "      \"trace_failures\": " << IrrReport.TraceFailures << "\n"
        << "    },\n"
        << "    \"service\": {\n"
+       << "      \"workers\": 1,\n"
        << "      \"loops\": " << Service.CorpusLoops << ",\n"
        << "      \"warm_passes\": " << Service.WarmPasses << ",\n"
        << "      \"cold_seconds\": " << formatDouble(Service.ColdSeconds, 4)

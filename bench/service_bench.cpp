@@ -3,8 +3,9 @@
 /// rate, and request-latency percentiles over the deterministic corpus
 /// (suite kernels + seeded random DSL loops), plus the byte-identity check
 /// across worker counts. Exit status enforces the service's contracts:
-/// warm (cache-hit) throughput must be >= 10x cold, and the response
-/// stream must be byte-identical at --jobs 1, 2, and the hardware count.
+/// warm (cache-hit) throughput on a one-worker service must be >= 10x
+/// cold, and the response stream must be byte-identical at 1, 2 and
+/// --jobs N workers (default: the hardware count).
 ///
 /// Usage: service_bench [--smoke] [--jobs N] [--loops N] [--repeats R]
 ///                      [--engine slack|bnb|sat] [--out FILE]
@@ -70,10 +71,7 @@ int main(int Argc, char **Argv) {
   const std::vector<std::string> Corpus =
       serviceBenchCorpus(RandomLoops, Seed);
 
-  ServiceConfig Config;
-  Config.Jobs = JobsN;
-  const ServiceBenchResult R =
-      runServiceBench(Corpus, Engine, Repeats, Config);
+  const ServiceBenchResult R = runServiceBench(Corpus, Engine, Repeats);
 
   // Determinism: identical response bytes at 1, 2, and JobsN workers.
   std::vector<int> JobCounts = {1, 2, JobsN};

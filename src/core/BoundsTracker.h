@@ -14,16 +14,24 @@
 ///
 /// Evaluating those formulas for every unplaced operation after every
 /// central-loop step costs O(placed * unplaced) per step, the cost
-/// Section 4.4 names. The tracker keeps them current incrementally:
-///  - placing p at cycle t relaxes every unplaced operation's Estart with
-///    MinDist row p and its Lstart with column p, and records p as the
-///    supplier of each bound it tightens;
-///  - ejecting p recomputes p and only those unplaced operations whose
-///    Estart or Lstart p supplied;
+/// Section 4.4 names. The tracker keeps them current incrementally, and
+/// only ever visits operation pairs that a dependence path joins (the
+/// attempt's ReachLists):
+///  - placing p at cycle t relaxes the Estart of every unplaced operation
+///    p reaches and the Lstart of every one that reaches p, and records p
+///    as the supplier of each bound it tightens;
+///  - ejecting p recomputes p and only those unplaced operations in its
+///    lists whose Estart or Lstart p supplied;
+///  - Stop moves are ordinary events. Placing Stop at t <= Lstart(Stop)
+///    turns each base Lstart(Stop) - MinDist(x,Stop) into the no-larger
+///    t - MinDist(x,Stop), which the relaxation applies (at t equal to
+///    Lstart(Stop) the base stays the supplier, with the same value);
+///    placing it later pushes Estart(Stop) past Lstart(Stop) and resets
+///    it. Ejecting Stop restores bases no smaller than t - MinDist(x,Stop),
+///    hence no smaller than any bound Stop did not supply;
 ///  - only the new placements can push Estart(Stop) past Lstart(Stop):
-///    every earlier one reaches Stop by Lstart(Stop) already;
-///  - placing or ejecting Stop, or resetting Lstart(Stop), changes every
-///    base and falls back to the full recompute.
+///    every earlier one reaches Stop by Lstart(Stop) already. A reset
+///    changes every base and recomputes every unplaced operation.
 ///
 /// A placed operation keeps the bounds it had when it was placed; the
 /// Section 5.2 stretchability test reads Estart of placed definitions.
@@ -49,11 +57,12 @@ public:
   /// constrain.
   static constexpr long Unbounded = LONG_MAX / 4;
 
-  /// \p Times is the attempt's placement vector (-1 when unplaced, Start
-  /// held at 0); the tracker reads it and must not outlive it. \p StopPad
-  /// >= 0 selects straight-line mode's Lstart(Stop) = Estart(Stop) + pad.
-  BoundsTracker(const MinDistMatrix &MinDist, int StartOp, int StopOp,
-                int II, int ResMII, long StopPad,
+  /// \p Reach lists the connected pairs of \p MinDist. \p Times is the
+  /// attempt's placement vector (-1 when unplaced, Start held at 0); the
+  /// tracker reads all three and must not outlive them. \p StopPad >= 0
+  /// selects straight-line mode's Lstart(Stop) = Estart(Stop) + pad.
+  BoundsTracker(const MinDistMatrix &MinDist, const ReachLists &Reach,
+                int StartOp, int StopOp, int II, int ResMII, long StopPad,
                 const std::vector<int> &Times);
 
   /// Sets Lstart(Stop) from the empty schedule and computes every
@@ -85,10 +94,12 @@ private:
   /// Applies the reset rule to \p EstartStop; true when Lstart(Stop)
   /// moved.
   bool raiseStopCap(long EstartStop);
+  /// Evaluates \p X's bounds over its lists.
   void recompute(int X);
-  void relax(int X, int P);
+  void recomputeUnplaced();
 
   const MinDistMatrix &MinDist;
+  const ReachLists &Reach;
   const int StartOp, StopOp, II, ResMII;
   const long StopPad;
   const std::vector<int> &Times;
@@ -101,7 +112,6 @@ private:
   /// Events since the last refresh, in order.
   std::vector<int> Placed;
   std::vector<int> Ejected;
-  std::vector<char> WasEjected; ///< per op, reset by every refresh
 };
 
 } // namespace lsms

@@ -9,6 +9,7 @@
 #include "machine/ModuloResourceTable.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
 #include <climits>
@@ -27,20 +28,52 @@ double secondsSince(Clock::time_point T0) {
 
 constexpr int NeverPlaced = INT_MIN / 2;
 
+/// Machine operations grouped by the functional-unit instance they are
+/// assigned to: the only operations that can hold each other's slots.
+struct UnitInstances {
+  std::vector<int> Of;                   ///< per op; -1 for pseudo-ops
+  std::vector<std::vector<int>> Members; ///< per instance, ascending ids
+};
+
+UnitInstances groupByInstance(const LoopBody &Body,
+                              const MachineModel &Machine,
+                              const std::vector<int> &FuInstance) {
+  std::array<int, NumFuKinds> First{};
+  int Count = 0;
+  for (unsigned K = 0; K < NumFuKinds; ++K) {
+    First[K] = Count;
+    Count += Machine.unitCount(static_cast<FuKind>(K));
+  }
+  UnitInstances Units;
+  Units.Of.assign(static_cast<size_t>(Body.numOps()), -1);
+  Units.Members.resize(static_cast<size_t>(Count));
+  for (const Operation &Op : Body.Ops) {
+    const FuKind Kind = Machine.unitFor(Op.Opc);
+    if (Kind == FuKind::None)
+      continue;
+    const int Unit = First[static_cast<unsigned>(Kind)] +
+                     FuInstance[static_cast<size_t>(Op.Id)];
+    Units.Of[static_cast<size_t>(Op.Id)] = Unit;
+    Units.Members[static_cast<size_t>(Unit)].push_back(Op.Id);
+  }
+  return Units;
+}
+
 /// One scheduling attempt at a fixed II.
 class AttemptScheduler {
 public:
   AttemptScheduler(const DepGraph &Graph, const SchedulerOptions &Options,
-                   const MinDistMatrix &MinDist, int II, int ResMII,
-                   const std::vector<int> &FuInstance,
+                   const MinDistMatrix &MinDist, const ReachLists &Reach,
+                   int II, int ResMII, const std::vector<int> &FuInstance,
+                   const UnitInstances &Units,
                    const std::vector<bool> &OnRecurrence,
                    ScheduleStats &Stats, long StopPad = -1)
       : Graph(Graph), Body(Graph.body()), Machine(Graph.machine()),
-        Options(Options), MinDist(MinDist), II(II), ResMII(ResMII),
-        FuInstance(FuInstance), OnRecurrence(OnRecurrence), Stats(Stats),
-        Mrt(Machine, II),
-        Bounds(MinDist, Body.startOp(), Body.stopOp(), II, ResMII, StopPad,
-               Times) {}
+        Options(Options), MinDist(MinDist), Reach(Reach), II(II),
+        ResMII(ResMII), FuInstance(FuInstance), Units(Units),
+        OnRecurrence(OnRecurrence), Stats(Stats), Mrt(Machine, II),
+        Bounds(MinDist, Reach, Body.startOp(), Body.stopOp(), II, ResMII,
+               StopPad, Times) {}
 
   /// Runs the central loop; on success fills \p Times.
   bool run(std::vector<int> &TimesOut);
@@ -48,8 +81,6 @@ public:
 private:
   // -- Step 1: operation choice (Section 4.3) ----------------------------
   int chooseOperation();
-  long dynamicPriority(int X) const;
-  long applyHalving(int X, long Slack) const;
 
   // -- Step 2: issue-cycle search (Section 5.2) --------------------------
   bool placeEarlyHeuristic(int X) const;
@@ -70,9 +101,11 @@ private:
   const MachineModel &Machine;
   const SchedulerOptions &Options;
   const MinDistMatrix &MinDist;
+  const ReachLists &Reach;
   const int II;
   const int ResMII;
   const std::vector<int> &FuInstance;
+  const UnitInstances &Units;
   const std::vector<bool> &OnRecurrence;
   ScheduleStats &Stats;
 
@@ -83,7 +116,12 @@ private:
   /// central-loop step.
   BoundsTracker Bounds;
   std::vector<long> StaticPriority;
-  std::vector<bool> Critical;
+  /// Per op, for the choice of Section 4.3: 1 when RecurrencesFirst puts
+  /// it after the recurrence ops, else 0; and what its slack is divided
+  /// by, 2 on a critical resource, 2 for a divider, 4 for both (halving
+  /// twice with truncation is one division by 4).
+  std::vector<char> Tier;
+  std::vector<long> SlackDivisor;
   std::vector<long> MinLT; ///< per value, at this II
   /// Per op: another operation reads its result (Section 5.2's outputs).
   std::vector<bool> ResultReadElsewhere;
@@ -95,7 +133,17 @@ bool AttemptScheduler::run(std::vector<int> &TimesOut) {
   Times.assign(static_cast<size_t>(N), -1);
   LastTime.assign(static_cast<size_t>(N), NeverPlaced);
 
-  Critical = markCriticalOps(Body, Machine, II);
+  const std::vector<bool> Critical = markCriticalOps(Body, Machine, II);
+  Tier.assign(static_cast<size_t>(N), 0);
+  SlackDivisor.assign(static_cast<size_t>(N), 1);
+  for (int X = 0; X < N; ++X) {
+    const size_t I = static_cast<size_t>(X);
+    Tier[I] = Options.RecurrencesFirst && !OnRecurrence[I];
+    if (Options.HalveCriticalSlack && ResMII > 1 && Critical[I])
+      SlackDivisor[I] *= 2;
+    if (Options.HalveDividerSlack && isDividerOp(Body.op(X).Opc))
+      SlackDivisor[I] *= 2;
+  }
 
   MinLT.assign(static_cast<size_t>(Body.numValues()), 0);
   for (const Value &V : Body.Values)
@@ -128,7 +176,8 @@ bool AttemptScheduler::run(std::vector<int> &TimesOut) {
     StaticPriority.assign(static_cast<size_t>(N), 0);
     for (int X = 0; X < N; ++X)
       StaticPriority[static_cast<size_t>(X)] =
-          applyHalving(X, Bounds.lstart(X) - Bounds.estart(X));
+          (Bounds.lstart(X) - Bounds.estart(X)) /
+          SlackDivisor[static_cast<size_t>(X)];
   }
 
   const long Budget =
@@ -167,35 +216,21 @@ bool AttemptScheduler::run(std::vector<int> &TimesOut) {
   return true;
 }
 
-long AttemptScheduler::applyHalving(int X, long Slack) const {
-  if (Options.HalveCriticalSlack && ResMII > 1 &&
-      Critical[static_cast<size_t>(X)])
-    Slack /= 2;
-  if (Options.HalveDividerSlack && isDividerOp(Body.op(X).Opc))
-    Slack /= 2;
-  return Slack;
-}
-
-long AttemptScheduler::dynamicPriority(int X) const {
-  return applyHalving(X, Bounds.lstart(X) - Bounds.estart(X));
-}
-
 int AttemptScheduler::chooseOperation() {
   int Best = -1;
   long BestTier = LONG_MAX, BestPrio = LONG_MAX, BestLstart = LONG_MAX;
   for (int X = 0; X < Body.numOps(); ++X) {
     if (isPlaced(X))
       continue;
-    const long Tier =
-        Options.RecurrencesFirst && !OnRecurrence[static_cast<size_t>(X)] ? 1
-                                                                          : 0;
-    const long Prio = Options.DynamicPriority
-                          ? dynamicPriority(X)
-                          : StaticPriority[static_cast<size_t>(X)];
+    const long T = Tier[static_cast<size_t>(X)];
     const long L = Bounds.lstart(X);
-    if (std::tie(Tier, Prio, L) < std::tie(BestTier, BestPrio, BestLstart)) {
+    const long Prio = Options.DynamicPriority
+                          ? (L - Bounds.estart(X)) /
+                                SlackDivisor[static_cast<size_t>(X)]
+                          : StaticPriority[static_cast<size_t>(X)];
+    if (std::tie(T, Prio, L) < std::tie(BestTier, BestPrio, BestLstart)) {
       Best = X;
-      BestTier = Tier;
+      BestTier = T;
       BestPrio = Prio;
       BestLstart = L;
     }
@@ -348,21 +383,22 @@ bool AttemptScheduler::forcePlace(int X) {
     return false;
 
   // Eject every placed operation that conflicts with x at cycle F, either
-  // on resources or through the (transitive) dependence relation.
-  for (int Y = 0; Y < Body.numOps(); ++Y) {
-    if (!isPlaced(Y) || Y == Body.startOp() || Y == BrTop || Y == X)
-      continue;
-    const int Ty = Times[static_cast<size_t>(Y)];
-    bool Conflict = resourceConflict(X, static_cast<int>(F), Y, Ty);
-    if (!Conflict && MinDist.connected(Y, X) &&
-        Ty + MinDist.at(Y, X) > F)
-      Conflict = true;
-    if (!Conflict && MinDist.connected(X, Y) &&
-        F + MinDist.at(X, Y) > Ty)
-      Conflict = true;
-    if (Conflict)
-      eject(Y);
-  }
+  // on resources or through the (transitive) dependence relation. Only the
+  // ops on x's unit instance can hold its slots. A dependence can only be
+  // violated by an op x reaches: F >= Estart(x), which is at least
+  // t_y + MinDist(y,x) for every placed y that reaches x.
+  const auto Ejectable = [&](int Y) {
+    return isPlaced(Y) && Y != Body.startOp() && Y != BrTop && Y != X;
+  };
+  if (Units.Of[static_cast<size_t>(X)] >= 0)
+    for (const int Y :
+         Units.Members[static_cast<size_t>(Units.Of[static_cast<size_t>(X)])])
+      if (Ejectable(Y) && resourceConflict(X, static_cast<int>(F), Y,
+                                           Times[static_cast<size_t>(Y)]))
+        eject(Y);
+  for (const ReachLists::Entry &S : Reach.succs(X))
+    if (Ejectable(S.Op) && F + S.Dist > Times[static_cast<size_t>(S.Op)])
+      eject(S.Op);
 
   assert(Mrt.canPlace(Op.Opc, Kind, Instance, static_cast<int>(F)) &&
          "forced slot still blocked after ejection");
@@ -374,21 +410,11 @@ bool AttemptScheduler::forcePlace(int X) {
 
 bool AttemptScheduler::resourceConflict(int X, int CycleX, int Y,
                                         int CycleY) const {
-  const Operation &OpX = Body.op(X);
-  const Operation &OpY = Body.op(Y);
-  const FuKind KindX = Machine.unitFor(OpX.Opc);
-  const FuKind KindY = Machine.unitFor(OpY.Opc);
-  if (KindX == FuKind::None || KindX != KindY)
-    return false;
-  if (FuInstance[static_cast<size_t>(X)] != FuInstance[static_cast<size_t>(Y)])
-    return false;
-  const int ResX = Machine.reservationCycles(OpX.Opc);
-  const int ResY = Machine.reservationCycles(OpY.Opc);
-  for (int I = 0; I < ResX; ++I)
-    for (int J = 0; J < ResY; ++J)
-      if (((CycleX + I) % II + II) % II == ((CycleY + J) % II + II) % II)
-        return true;
-  return false;
+  const int Unit = Units.Of[static_cast<size_t>(X)];
+  return Unit >= 0 && Unit == Units.Of[static_cast<size_t>(Y)] &&
+         moduloReservationsOverlap(
+             II, CycleX, Machine.reservationCycles(Body.op(X).Opc), CycleY,
+             Machine.reservationCycles(Body.op(Y).Opc));
 }
 
 void AttemptScheduler::place(int X, int Cycle) {
@@ -430,6 +456,8 @@ Schedule lsms::scheduleLoop(const DepGraph &Graph,
 
   const std::vector<int> FuInstance =
       assignFunctionalUnits(Graph.body(), Graph.machine());
+  const UnitInstances Units =
+      groupByInstance(Graph.body(), Graph.machine(), FuInstance);
   const SccInfo Sccs = computeSccs(Graph);
 
   const int MaxII = Options.IICap.maxII(Result.MII);
@@ -437,6 +465,7 @@ Schedule lsms::scheduleLoop(const DepGraph &Graph,
   int II = Result.MII;
   long StopPad = Options.AcyclicPadStep > 0 ? 0 : -1;
   MinDistMatrix MinDist;
+  ReachLists Reach;
   for (;;) {
     Result.II = II;
     ++Result.Stats.AttemptsTried;
@@ -444,14 +473,15 @@ Schedule lsms::scheduleLoop(const DepGraph &Graph,
     {
       const auto T0 = Clock::now();
       const bool Valid = MinDist.compute(Graph, II);
-      Result.Stats.SecondsMinDist += secondsSince(T0);
       assert(Valid && "II below RecMII");
       (void)Valid;
+      Reach.build(MinDist);
+      Result.Stats.SecondsMinDist += secondsSince(T0);
     }
 
-    AttemptScheduler Attempt(Graph, Options, MinDist, II, Result.ResMII,
-                             FuInstance, Sccs.OnRecurrence, Result.Stats,
-                             StopPad);
+    AttemptScheduler Attempt(Graph, Options, MinDist, Reach, II,
+                             Result.ResMII, FuInstance, Units,
+                             Sccs.OnRecurrence, Result.Stats, StopPad);
     if (Attempt.run(Result.Times)) {
       Result.Success = true;
       Result.Stats.EjectionsLastAttempt =

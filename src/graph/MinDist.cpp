@@ -7,54 +7,6 @@
 
 using namespace lsms;
 
-bool MinDistMatrix::computeDense(const DepGraph &Graph, int NewII) {
-  II = NewII;
-  N = Graph.numOps();
-  const size_t NN = static_cast<size_t>(N);
-  Matrix.assign(NN * NN, NoPath);
-  // The dense path leaves the SCC cache untouched; invalidate it so a later
-  // compute() on another graph does not reuse stale buckets.
-  CachedGraph = nullptr;
-  WeightsII = -1;
-  MatrixII = -1;
-  BlocksValid = false;
-
-  auto At = [this, NN](int X, int Y) -> long & {
-    return Matrix[static_cast<size_t>(X) * NN + static_cast<size_t>(Y)];
-  };
-
-  for (const DepArc &Arc : Graph.arcs()) {
-    const long W = static_cast<long>(Arc.Latency) -
-                   static_cast<long>(II) * static_cast<long>(Arc.Omega);
-    At(Arc.Src, Arc.Dst) = std::max(At(Arc.Src, Arc.Dst), W);
-  }
-  for (int X = 0; X < N; ++X)
-    At(X, X) = std::max(At(X, X), 0L);
-
-  // Floyd-Warshall in max-plus algebra. Valid because II >= RecMII implies
-  // all cycles have non-positive weight; a positive diagonal afterwards
-  // reveals the opposite and the computation is rejected.
-  for (int K = 0; K < N; ++K) {
-    for (int X = 0; X < N; ++X) {
-      const long XK = At(X, K);
-      if (XK == NoPath)
-        continue;
-      long *RowK = &Matrix[static_cast<size_t>(K) * NN];
-      long *RowX = &Matrix[static_cast<size_t>(X) * NN];
-      for (int Y = 0; Y < N; ++Y) {
-        if (RowK[Y] == NoPath)
-          continue;
-        RowX[Y] = std::max(RowX[Y], XK + RowK[Y]);
-      }
-    }
-  }
-
-  for (int X = 0; X < N; ++X)
-    if (At(X, X) > 0)
-      return false;
-  return true;
-}
-
 void MinDistMatrix::buildStructure(const DepGraph &Graph) {
   N = Graph.numOps();
   const SccInfo Sccs = computeSccs(Graph);
@@ -362,4 +314,37 @@ std::vector<long> MinDistMatrix::lstarts(int StopOp, long Cap) const {
   std::vector<long> L;
   lstarts(StopOp, Cap, L);
   return L;
+}
+
+void ReachLists::build(const MinDistMatrix &MinDist) {
+  const int N = MinDist.numOps();
+  const size_t NN = static_cast<size_t>(N);
+  SuccStart.assign(NN + 1, 0);
+  PredStart.assign(NN + 1, 0);
+  Succs.clear();
+  // About one ordered pair in seven is connected over the paper's suite,
+  // so room for a quarter of all pairs rarely needs a second allocation.
+  Succs.reserve(NN * NN / 4 + NN);
+  for (int X = 0; X < N; ++X) {
+    for (int Y = 0; Y < N; ++Y) {
+      if (Y == X || !MinDist.connected(X, Y))
+        continue;
+      Succs.push_back({Y, MinDist.at(X, Y)});
+      ++PredStart[static_cast<size_t>(Y) + 1];
+    }
+    SuccStart[static_cast<size_t>(X) + 1] = Succs.size();
+  }
+  // PredStart[y] becomes y's first slot and serves as its fill cursor;
+  // sources are visited in ascending order, so each pred list comes out
+  // sorted. Each cursor ends at the next op's first slot, so shifting the
+  // cursors up by one op restores the starts.
+  for (size_t Y = 0; Y + 1 < NN; ++Y)
+    PredStart[Y + 1] += PredStart[Y];
+  Preds.resize(Succs.size());
+  for (int X = 0; X < N; ++X)
+    for (const Entry &E : succs(X))
+      Preds[PredStart[static_cast<size_t>(E.Op)]++] = {X, E.Dist};
+  std::copy_backward(PredStart.begin(), PredStart.end() - 1,
+                     PredStart.end());
+  PredStart[0] = 0;
 }

@@ -19,9 +19,12 @@
 /// II-independent relation, so a repeat compute() on it returns the
 /// previous matrix outright; and components whose intra arcs are all
 /// omega-free keep their closed local blocks across rungs, so only
-/// omega-carrying recurrences re-run Floyd-Warshall. computeDense() keeps
-/// the original dense Floyd-Warshall as a differential-testing reference;
-/// the max-plus closure is unique, so the two agree entry for entry.
+/// omega-carrying recurrences re-run Floyd-Warshall.
+///
+/// ReachLists holds the same relation sparsely, for one II: per operation,
+/// the operations it reaches and those that reach it. Only a minority of
+/// operation pairs are joined by any dependence path, and a scan that only
+/// needs the connected ones walks a list instead of a matrix row.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +34,7 @@
 #include "ir/DepGraph.h"
 
 #include <climits>
+#include <span>
 #include <vector>
 
 namespace lsms {
@@ -46,10 +50,6 @@ public:
   /// reuses the cached condensation when \p Graph is the one from the
   /// previous call.
   bool compute(const DepGraph &Graph, int II);
-
-  /// Reference implementation: dense Floyd-Warshall over all operations.
-  /// Kept for differential testing; equals compute() entry for entry.
-  bool computeDense(const DepGraph &Graph, int II);
 
   int initiationInterval() const { return II; }
   int numOps() const { return N; }
@@ -112,6 +112,38 @@ private:
   std::vector<long> ArcW;       ///< latency - II*omega, per arc id
   std::vector<long> Local;      ///< per-component Floyd-Warshall scratch
   std::vector<long> Gather;     ///< per-component entry-value scratch
+};
+
+/// The connected pairs of one MinDistMatrix, as adjacency lists: for every
+/// operation x, the operations y != x with a dependence path x -> y
+/// (succs) and those with a path y -> x (preds), each in ascending id order
+/// with MinDist(x,y) or MinDist(y,x) at the matrix's II. Whether a path
+/// exists does not depend on II; the distances do.
+class ReachLists {
+public:
+  struct Entry {
+    int Op;
+    long Dist;
+  };
+
+  /// Rebuilds the lists from \p MinDist: one pass over the matrix for the
+  /// succs, one over the succs for the preds.
+  void build(const MinDistMatrix &MinDist);
+
+  /// Operations \p X reaches, with MinDist(X, y).
+  std::span<const Entry> succs(int X) const {
+    return {Succs.data() + SuccStart[static_cast<size_t>(X)],
+            Succs.data() + SuccStart[static_cast<size_t>(X) + 1]};
+  }
+  /// Operations that reach \p X, with MinDist(y, X).
+  std::span<const Entry> preds(int X) const {
+    return {Preds.data() + PredStart[static_cast<size_t>(X)],
+            Preds.data() + PredStart[static_cast<size_t>(X) + 1]};
+  }
+
+private:
+  std::vector<size_t> SuccStart, PredStart; ///< CSR offsets per op
+  std::vector<Entry> Succs, Preds;
 };
 
 } // namespace lsms

@@ -6,7 +6,10 @@
 /// -latency and time omega, RecMII = ceil(-R) where R is the minimum ratio.
 /// Implemented as an integer binary search on II with a positive-cycle test
 /// (Bellman-Ford) at each step, which handles parallel arcs exactly and is
-/// robust when circuit enumeration would blow up.
+/// robust when circuit enumeration would blow up. Every circuit lies inside
+/// one strongly connected component, so the test runs per component over
+/// its intra arcs only, and a component is searched only when it has a
+/// positive cycle at the largest bound the components before it gave.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,10 +24,6 @@ namespace lsms {
 /// latency exceeding II times its total omega. Asserts that the graph has
 /// no zero-omega positive-latency cycle (the IR verifier guarantees this).
 int computeRecMIIByRatio(const DepGraph &Graph);
-
-/// True when the arc weights latency - II*omega admit a positive-weight
-/// cycle, i.e. II is below some circuit's minimum.
-bool hasPositiveCycle(const DepGraph &Graph, int II);
 
 } // namespace lsms
 

@@ -25,6 +25,20 @@
 
 namespace lsms {
 
+/// True when a reservation of \p ResA consecutive cycles from \p CycleA
+/// and one of \p ResB cycles from \p CycleB share a cycle modulo \p II:
+/// the residue of CycleB - CycleA lies less than ResA cycles after 0 or
+/// less than ResB cycles before it. An empty reservation shares nothing.
+inline bool moduloReservationsOverlap(int II, int CycleA, int ResA,
+                                      int CycleB, int ResB) {
+  if (ResA <= 0 || ResB <= 0)
+    return false;
+  int D = (CycleB - CycleA) % II;
+  if (D < 0)
+    D += II;
+  return D < ResA || D > II - ResB;
+}
+
 /// Tracks per-cycle (mod II) reservations of functional-unit instances.
 ///
 /// Operations are pre-assigned to a specific unit instance before scheduling

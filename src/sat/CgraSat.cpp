@@ -1,6 +1,7 @@
 #include "sat/CgraSat.h"
 
 #include "cgra/CgraMapper.h"
+#include "machine/ModuloResourceTable.h"
 #include "sat/SatSolver.h"
 
 #include <algorithm>
@@ -119,7 +120,6 @@ bool CgraSatAttempt::encode() {
 
   // Per-PE modulo exclusivity: two ops sharing a PE must not overlap their
   // reservation intervals mod II.
-  std::vector<char> Mark(static_cast<size_t>(II), 0);
   for (size_t SU = 0; SU < Real.size(); ++SU) {
     if (!placeable(SU))
       continue;
@@ -133,18 +133,10 @@ bool CgraSatAttempt::encode() {
         if (KV < 0)
           continue;
         const int KU = PeIndex[SU][static_cast<size_t>(P)];
-        for (int A = 0; A < II; ++A) {
-          std::fill(Mark.begin(), Mark.end(), 0);
-          for (int K = 0; K < ResU; ++K)
-            Mark[static_cast<size_t>((A + K) % II)] = 1;
-          for (int B = 0; B < II; ++B) {
-            bool Overlap = false;
-            for (int K = 0; K < ResV && !Overlap; ++K)
-              Overlap = Mark[static_cast<size_t>((B + K) % II)];
-            if (Overlap)
+        for (int A = 0; A < II; ++A)
+          for (int B = 0; B < II; ++B)
+            if (moduloReservationsOverlap(II, A, ResU, B, ResV))
               Solver.addClause({~sVar(SU, A, KU), ~sVar(SV, B, KV)});
-          }
-        }
       }
     }
   }

@@ -3,7 +3,9 @@
 /// Section 4.1 formulas and the Section 4.2 Lstart(Stop) rule, evaluated
 /// in full after every refresh. Seeded place/eject sequences, which
 /// place and eject Stop and push Estart(Stop) past Lstart(Stop), drive the
-/// tracker on the suite kernels and 200 oracle loops.
+/// tracker on the suite kernels and 200 oracle loops. Stop moves are
+/// ordinary events for the tracker, so the sequences must also place Stop
+/// at and below Lstart(Stop), and eject it, in steps that reset nothing.
 //===----------------------------------------------------------------------===//
 
 #include "bounds/Bounds.h"
@@ -69,6 +71,12 @@ struct Coverage {
   long StopCapResets = 0;
   long PlacedThenEjected = 0; ///< both between the same two refreshes
   long EjectedThenPlaced = 0;
+  /// Steps that reset no Lstart(Stop) and placed Stop at or below it, at
+  /// exactly it (the tie that keeps each base as its supplier), or
+  /// ejected Stop.
+  long StopPlacedNoReset = 0;
+  long StopPlacedAtCapNoReset = 0;
+  long StopEjectedNoReset = 0;
 };
 
 /// Drives one tracker through a seeded sequence of steps. A step is up to
@@ -81,7 +89,9 @@ void crossCheck(const LoopBody &Body, const MinDistMatrix &MinDist,
   const int Start = Body.startOp(), Stop = Body.stopOp();
   std::vector<int> Times(static_cast<size_t>(N), -1);
   Times[static_cast<size_t>(Start)] = 0;
-  BoundsTracker Tracker(MinDist, Start, Stop, Rule.II, Rule.ResMII,
+  ReachLists Reach;
+  Reach.build(MinDist);
+  BoundsTracker Tracker(MinDist, Reach, Start, Stop, Rule.II, Rule.ResMII,
                         Rule.StopPad, Times);
   Tracker.start();
 
@@ -94,6 +104,9 @@ void crossCheck(const LoopBody &Body, const MinDistMatrix &MinDist,
   Rng R(Seed);
   const int Steps = 3 * N;
   for (int Step = 0; Step <= Steps; ++Step) {
+    // How Stop moved in this step, against the Lstart(Stop) it was
+    // placed under.
+    bool StopPlacedBelow = false, StopPlacedAt = false, StopEjected = false;
     if (Step > 0) {
       std::vector<char> PlacedNow(static_cast<size_t>(N), 0);
       std::vector<char> EjectedNow(static_cast<size_t>(N), 0);
@@ -109,6 +122,7 @@ void crossCheck(const LoopBody &Body, const MinDistMatrix &MinDist,
           Times[static_cast<size_t>(Y)] = -1;
           Tracker.ejected(Y);
           Cov.StopEjected += Y == Stop;
+          StopEjected |= Y == Stop;
           Cov.PlacedThenEjected += PlacedNow[static_cast<size_t>(Y)];
           EjectedNow[static_cast<size_t>(Y)] = 1;
           continue;
@@ -128,6 +142,10 @@ void crossCheck(const LoopBody &Body, const MinDistMatrix &MinDist,
         Times[static_cast<size_t>(X)] = static_cast<int>(T);
         Tracker.placed(X);
         Cov.StopPlaced += X == Stop;
+        if (X == Stop) {
+          StopPlacedBelow = T <= Tracker.lstartStop();
+          StopPlacedAt = T == Tracker.lstartStop();
+        }
         Cov.EjectedThenPlaced += EjectedNow[static_cast<size_t>(X)];
         PlacedNow[static_cast<size_t>(X)] = 1;
       }
@@ -142,6 +160,10 @@ void crossCheck(const LoopBody &Body, const MinDistMatrix &MinDist,
     if (EstartStop > RefLstartStop) {
       RefLstartStop = Rule.cap(EstartStop);
       Cov.StopCapResets += Step > 0;
+    } else {
+      Cov.StopPlacedNoReset += StopPlacedBelow;
+      Cov.StopPlacedAtCapNoReset += StopPlacedAt;
+      Cov.StopEjectedNoReset += StopEjected;
     }
     ASSERT_EQ(Tracker.lstartStop(), RefLstartStop)
         << Body.Name << " step " << Step;
@@ -196,6 +218,9 @@ void crossCheckSuite(const std::vector<LoopBody> &Suite, uint64_t Seed) {
   EXPECT_GT(Cov.StopCapResets, 0);
   EXPECT_GT(Cov.PlacedThenEjected, 0);
   EXPECT_GT(Cov.EjectedThenPlaced, 0);
+  EXPECT_GT(Cov.StopPlacedNoReset, 0);
+  EXPECT_GT(Cov.StopPlacedAtCapNoReset, 0);
+  EXPECT_GT(Cov.StopEjectedNoReset, 0);
 }
 
 } // namespace

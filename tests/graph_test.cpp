@@ -1,23 +1,111 @@
 //===----------------------------------------------------------------------===//
 /// \file Unit tests for SCCs, circuit enumeration, min-ratio RecMII, and
-/// the MinDist relation.
+/// the MinDist relation. The per-component RecMII search is checked
+/// against two references kept here: Johnson's circuit enumeration
+/// (Circuits.h) and the whole-graph Bellman-Ford binary search.
 //===----------------------------------------------------------------------===//
 
-#include "graph/Circuits.h"
+#include "Circuits.h"
 #include "graph/MinDist.h"
 #include "graph/MinRatioCycle.h"
 #include "graph/Scc.h"
+#include "ir/IRBuilder.h"
 #include "workloads/Kernels.h"
+#include "workloads/RandomLoop.h"
+#include "workloads/Suite.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 
 using namespace lsms;
 
 namespace {
 
-DepGraph makeGraph(const LoopBody &Body) {
+const MachineModel &machine() {
   static MachineModel Machine = MachineModel::cydra5();
-  return DepGraph(Body, Machine);
+  return Machine;
+}
+
+DepGraph makeGraph(const LoopBody &Body) { return DepGraph(Body, machine()); }
+
+/// Reference: true when the arc weights latency - II*omega admit a
+/// positive-weight cycle anywhere in the graph. Longest-path relaxation
+/// from all sources at once, N passes over every arc.
+bool hasPositiveCycle(const DepGraph &Graph, int II) {
+  const int N = Graph.numOps();
+  std::vector<long> Dist(static_cast<size_t>(N), 0);
+  for (int Pass = 0; Pass < N; ++Pass) {
+    bool Changed = false;
+    for (const DepArc &Arc : Graph.arcs()) {
+      const long W = static_cast<long>(Arc.Latency) -
+                     static_cast<long>(II) * static_cast<long>(Arc.Omega);
+      if (Dist[static_cast<size_t>(Arc.Src)] + W >
+          Dist[static_cast<size_t>(Arc.Dst)]) {
+        Dist[static_cast<size_t>(Arc.Dst)] =
+            Dist[static_cast<size_t>(Arc.Src)] + W;
+        Changed = true;
+      }
+    }
+    if (!Changed)
+      return false;
+  }
+  return true;
+}
+
+/// Reference: the smallest II >= 0 without a positive cycle, by binary
+/// search over the whole graph up to its total latency.
+int recMIIWholeGraph(const DepGraph &Graph) {
+  long Hi = 1;
+  for (const DepArc &Arc : Graph.arcs())
+    Hi += std::max(0, Arc.Latency);
+  EXPECT_FALSE(hasPositiveCycle(Graph, static_cast<int>(Hi)));
+  long Lo = 0;
+  while (Lo < Hi) {
+    const long Mid = Lo + (Hi - Lo) / 2;
+    if (hasPositiveCycle(Graph, static_cast<int>(Mid)))
+      Lo = Mid + 1;
+    else
+      Hi = Mid;
+  }
+  return static_cast<int>(Lo);
+}
+
+void expectRecMIIMatchesWholeGraph(const std::vector<LoopBody> &Loops) {
+  for (const LoopBody &Body : Loops) {
+    const DepGraph Graph = makeGraph(Body);
+    ASSERT_EQ(computeRecMIIByRatio(Graph), recMIIWholeGraph(Graph))
+        << Body.Name;
+  }
+}
+
+/// One extra arc between two of buildArcLoop's adds.
+struct ArcSpec {
+  int Src, Dst, Latency, Omega;
+};
+
+/// \p NumAdds adds on loop invariants (so no flow arc joins them), joined
+/// only by \p Arcs. \p AddOps receives each add's operation id.
+LoopBody buildArcLoop(int NumAdds, const std::vector<ArcSpec> &Arcs,
+                      std::vector<int> &AddOps) {
+  LoopBody Body;
+  Body.Name = "arcs";
+  IRBuilder B(Body);
+  const int C = B.constant(1.0);
+  AddOps.clear();
+  for (int I = 0; I < NumAdds; ++I) {
+    const int V = B.emitValue(Opcode::FloatAdd, {Use{C, 0}, Use{C, 0}},
+                              "a" + std::to_string(I));
+    B.markLiveOut(V);
+    AddOps.push_back(Body.value(V).Def);
+  }
+  for (const ArcSpec &A : Arcs)
+    B.addMemDep(AddOps[static_cast<size_t>(A.Src)],
+                AddOps[static_cast<size_t>(A.Dst)], DepKind::Extra, A.Latency,
+                A.Omega);
+  B.finish();
+  return Body;
 }
 
 } // namespace
@@ -90,6 +178,86 @@ TEST(MinRatioCycle, SampleLoopRecMII) {
   const LoopBody Body = buildSampleLoop();
   const DepGraph Graph = makeGraph(Body);
   EXPECT_EQ(computeRecMIIByRatio(Graph), 1);
+}
+
+TEST(MinRatioCycle, SccSearchMatchesWholeGraphOnKernels) {
+  expectRecMIIMatchesWholeGraph(buildKernelSuite());
+}
+
+TEST(MinRatioCycle, SccSearchMatchesWholeGraphOnPaperSuite) {
+  const std::vector<LoopBody> Suite = buildFullSuite();
+  ASSERT_EQ(Suite.size(), 1525u);
+  expectRecMIIMatchesWholeGraph(Suite);
+}
+
+TEST(MinRatioCycle, SccSearchMatchesWholeGraphOnRandomLoops) {
+  std::vector<LoopBody> Loops;
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed)
+    Loops.push_back(generateRandomLoop(Seed));
+  expectRecMIIMatchesWholeGraph(Loops);
+}
+
+TEST(MinRatioCycle, SccSearchMatchesWholeGraphOnIrregularLoops) {
+  const std::vector<LoopBody> Loops =
+      buildIrregularSuite(/*Count=*/200, /*MaxOps=*/40, /*Seed=*/0x5CC,
+                          /*Jobs=*/1);
+  ASSERT_EQ(Loops.size(), 200u);
+  expectRecMIIMatchesWholeGraph(Loops);
+}
+
+TEST(MinRatioCycle, LargerBoundInALaterComponent) {
+  // {a0,a1}: latency 2 over omega 1 -> 2. {a2,a3}: 10 over 1 -> 10, in
+  // the later-numbered component, so the search must raise the bound the
+  // first component gave.
+  std::vector<int> Ops;
+  const LoopBody Body = buildArcLoop(
+      4, {{0, 1, 1, 0}, {1, 0, 1, 1}, {2, 3, 5, 0}, {3, 2, 5, 1}}, Ops);
+  const DepGraph Graph = makeGraph(Body);
+  const SccInfo Sccs = computeSccs(Graph);
+  ASSERT_LT(Sccs.Component[static_cast<size_t>(Ops[0])],
+            Sccs.Component[static_cast<size_t>(Ops[2])]);
+  EXPECT_EQ(computeRecMIIByRatio(Graph), 10);
+  EXPECT_EQ(recMIIWholeGraph(Graph), 10);
+}
+
+TEST(MinRatioCycle, SmallerBoundInALaterComponent) {
+  std::vector<int> Ops;
+  const LoopBody Body = buildArcLoop(
+      4, {{0, 1, 5, 0}, {1, 0, 5, 1}, {2, 3, 1, 0}, {3, 2, 1, 1}}, Ops);
+  const DepGraph Graph = makeGraph(Body);
+  const SccInfo Sccs = computeSccs(Graph);
+  ASSERT_LT(Sccs.Component[static_cast<size_t>(Ops[0])],
+            Sccs.Component[static_cast<size_t>(Ops[2])]);
+  EXPECT_EQ(computeRecMIIByRatio(Graph), 10);
+  EXPECT_EQ(recMIIWholeGraph(Graph), 10);
+}
+
+TEST(MinRatioCycle, OneOpComponentWithOnlySelfArcs) {
+  // a2 is a component of its own whose only arcs are two self-arcs:
+  // ceil(7/2) = 4 beats 3/1 and the 2 of {a0,a1} before it.
+  std::vector<int> Ops;
+  const LoopBody Body = buildArcLoop(
+      3, {{0, 1, 1, 0}, {1, 0, 1, 1}, {2, 2, 7, 2}, {2, 2, 3, 1}}, Ops);
+  const DepGraph Graph = makeGraph(Body);
+  const SccInfo Sccs = computeSccs(Graph);
+  ASSERT_EQ(Sccs.Size[static_cast<size_t>(
+                Sccs.Component[static_cast<size_t>(Ops[2])])],
+            1);
+  ASSERT_LT(Sccs.Component[static_cast<size_t>(Ops[0])],
+            Sccs.Component[static_cast<size_t>(Ops[2])]);
+  EXPECT_EQ(computeRecMIIByRatio(Graph), 4);
+  EXPECT_EQ(recMIIWholeGraph(Graph), 4);
+}
+
+TEST(MinRatioCycle, ZeroLatencyZeroOmegaArcInsideARecurrence) {
+  // a0 -> a1 costs nothing and spans no iteration; the circuit
+  // a0 -> a1 -> a2 -> a0 has latency 5 over omega 1.
+  std::vector<int> Ops;
+  const LoopBody Body =
+      buildArcLoop(3, {{0, 1, 0, 0}, {1, 2, 2, 0}, {2, 0, 3, 1}}, Ops);
+  const DepGraph Graph = makeGraph(Body);
+  EXPECT_EQ(computeRecMIIByRatio(Graph), 5);
+  EXPECT_EQ(recMIIWholeGraph(Graph), 5);
 }
 
 TEST(MinRatioCycle, PositiveCycleDetection) {

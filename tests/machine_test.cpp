@@ -126,3 +126,24 @@ TEST(ModuloResourceTable, ClearDropsEverything) {
   Mrt.clear();
   EXPECT_TRUE(Mrt.canPlace(Opcode::Load, FuKind::MemoryPort, 0, 1));
 }
+
+TEST(ModuloResourceTable, OverlapRuleMatchesCycleByCycleCheck) {
+  // Every pair of reservations up to II long, from every pair of issue
+  // cycles in [-2*II, 2*II), against the cycle-by-cycle comparison.
+  for (int II = 1; II <= 12; ++II) {
+    const auto Wrap = [II](int C) { return ((C % II) + II) % II; };
+    for (int ResA = 1; ResA <= II; ++ResA)
+      for (int ResB = 1; ResB <= II; ++ResB)
+        for (int A = -2 * II; A < 2 * II; ++A)
+          for (int B = -2 * II; B < 2 * II; ++B) {
+            bool Expected = false;
+            for (int I = 0; I < ResA && !Expected; ++I)
+              for (int J = 0; J < ResB && !Expected; ++J)
+                Expected = Wrap(A + I) == Wrap(B + J);
+            ASSERT_EQ(moduloReservationsOverlap(II, A, ResA, B, ResB),
+                      Expected)
+                << "II " << II << " A " << A << "+" << ResA << " B " << B
+                << "+" << ResB;
+          }
+  }
+}

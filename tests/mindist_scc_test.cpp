@@ -1,11 +1,12 @@
 //===----------------------------------------------------------------------===//
 /// \file Differential tests for the SCC-decomposed MinDist closure against
-/// the dense Floyd-Warshall reference. The max-plus transitive closure is
-/// unique, so compute() and computeDense() must agree entry for entry on
-/// every graph and II — including below RecMII, where both must reject the
-/// positive cycle. The sweeps deliberately reuse one matrix object across
-/// ascending IIs per graph to exercise the cached-condensation refresh path
-/// the schedulers' II retry loops rely on.
+/// a dense Floyd-Warshall reference kept here. The max-plus transitive
+/// closure is unique, so the two must agree entry for entry on every graph
+/// and II -- including below RecMII, where both must reject the positive
+/// cycle. The sweeps deliberately reuse one matrix object across ascending
+/// IIs per graph to exercise the cached-condensation refresh path the
+/// schedulers' II retry loops rely on. The reach lists built from each
+/// matrix must list exactly its connected pairs.
 //===----------------------------------------------------------------------===//
 
 #include "bounds/Bounds.h"
@@ -15,8 +16,64 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+
 namespace lsms {
 namespace {
+
+/// Reference: dense max-plus Floyd-Warshall over all operations. Fills
+/// \p Out (row-major, MinDistMatrix::NoPath when unconnected) and returns
+/// false when II admits a positive cycle.
+bool denseMinDist(const DepGraph &Graph, int II, std::vector<long> &Out) {
+  const int N = Graph.numOps();
+  const size_t NN = static_cast<size_t>(N);
+  constexpr long NoPath = MinDistMatrix::NoPath;
+  Out.assign(NN * NN, NoPath);
+  const auto At = [&Out, NN](int X, int Y) -> long & {
+    return Out[static_cast<size_t>(X) * NN + static_cast<size_t>(Y)];
+  };
+  for (const DepArc &Arc : Graph.arcs()) {
+    const long W = static_cast<long>(Arc.Latency) -
+                   static_cast<long>(II) * static_cast<long>(Arc.Omega);
+    At(Arc.Src, Arc.Dst) = std::max(At(Arc.Src, Arc.Dst), W);
+  }
+  for (int X = 0; X < N; ++X)
+    At(X, X) = std::max(At(X, X), 0L);
+  for (int K = 0; K < N; ++K)
+    for (int X = 0; X < N; ++X) {
+      const long XK = At(X, K);
+      if (XK == NoPath)
+        continue;
+      for (int Y = 0; Y < N; ++Y)
+        if (At(K, Y) != NoPath)
+          At(X, Y) = std::max(At(X, Y), XK + At(K, Y));
+    }
+  for (int X = 0; X < N; ++X)
+    if (At(X, X) > 0)
+      return false;
+  return true;
+}
+
+/// Compares \p Fast, just computed at \p II, with the dense reference.
+void expectEqualsDense(const MinDistMatrix &Fast, bool FastOk,
+                       const DepGraph &Graph, int II,
+                       const std::string &Name) {
+  std::vector<long> Dense;
+  ASSERT_EQ(FastOk, denseMinDist(Graph, II, Dense))
+      << Name << " II=" << II << ": feasibility verdicts differ";
+  if (!FastOk)
+    return;
+  const int N = Graph.numOps();
+  ASSERT_EQ(Fast.numOps(), N) << Name;
+  for (int X = 0; X < N; ++X)
+    for (int Y = 0; Y < N; ++Y)
+      ASSERT_EQ(Fast.at(X, Y),
+                Dense[static_cast<size_t>(X) * static_cast<size_t>(N) +
+                      static_cast<size_t>(Y)])
+          << Name << " II=" << II << " MinDist(" << X << "," << Y << ")";
+}
 
 /// Compares the cached-path closure against the dense reference for every
 /// II in [max(1, MII-1), MII+3]. Starting below MII exercises return-value
@@ -27,19 +84,48 @@ void expectMatchesDense(const LoopBody &Body, const MachineModel &Machine) {
   const MIIBounds Bounds = computeMII(Graph);
   MinDistMatrix Fast;
   for (int II = std::max(1, Bounds.MII - 1); II <= Bounds.MII + 3; ++II) {
-    MinDistMatrix Dense;
-    const bool FastOk = Fast.compute(Graph, II);
-    const bool DenseOk = Dense.computeDense(Graph, II);
-    ASSERT_EQ(FastOk, DenseOk)
-        << Body.Name << " II=" << II << ": feasibility verdicts differ";
-    if (!FastOk)
-      continue;
-    ASSERT_EQ(Fast.numOps(), Dense.numOps()) << Body.Name;
-    for (int X = 0; X < Dense.numOps(); ++X)
-      for (int Y = 0; Y < Dense.numOps(); ++Y)
-        ASSERT_EQ(Fast.at(X, Y), Dense.at(X, Y))
-            << Body.Name << " II=" << II << " MinDist(" << X << "," << Y
-            << ")";
+    expectEqualsDense(Fast, Fast.compute(Graph, II), Graph, II, Body.Name);
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+}
+
+/// At every rung from MII to MII+3, one ReachLists object rebuilt from the
+/// rung's matrix lists, for each x, exactly the y != x it reaches and
+/// those reaching it, in ascending order, with the matrix's distances.
+void expectReachListsMatchMatrix(const LoopBody &Body,
+                                 const MachineModel &Machine) {
+  const DepGraph Graph(Body, Machine);
+  const int MII = computeMII(Graph).MII;
+  MinDistMatrix MinDist;
+  ReachLists Reach;
+  for (int II = MII; II <= MII + 3; ++II) {
+    ASSERT_TRUE(MinDist.compute(Graph, II)) << Body.Name;
+    Reach.build(MinDist);
+    const int N = MinDist.numOps();
+    for (int X = 0; X < N; ++X) {
+      std::vector<ReachLists::Entry> Succs, Preds;
+      for (int Y = 0; Y < N; ++Y) {
+        if (Y == X)
+          continue;
+        if (MinDist.connected(X, Y))
+          Succs.push_back({Y, MinDist.at(X, Y)});
+        if (MinDist.connected(Y, X))
+          Preds.push_back({Y, MinDist.at(Y, X)});
+      }
+      const auto Same = [](std::span<const ReachLists::Entry> Got,
+                           const std::vector<ReachLists::Entry> &Want) {
+        return std::equal(Got.begin(), Got.end(), Want.begin(), Want.end(),
+                          [](const ReachLists::Entry &A,
+                             const ReachLists::Entry &B) {
+                            return A.Op == B.Op && A.Dist == B.Dist;
+                          });
+      };
+      ASSERT_TRUE(Same(Reach.succs(X), Succs))
+          << Body.Name << " II=" << II << " succs of " << X;
+      ASSERT_TRUE(Same(Reach.preds(X), Preds))
+          << Body.Name << " II=" << II << " preds of " << X;
+    }
   }
 }
 
@@ -59,6 +145,22 @@ TEST(MinDistSccTest, RandomLoopsMatchDense) {
     expectMatchesDense(Body, Machine);
 }
 
+TEST(MinDistSccTest, KernelReachListsMatchMatrix) {
+  const MachineModel Machine = MachineModel::cydra5();
+  for (const LoopBody &Body : buildKernelSuite())
+    expectReachListsMatchMatrix(Body, Machine);
+}
+
+TEST(MinDistSccTest, RandomLoopReachListsMatchMatrix) {
+  const MachineModel Machine = MachineModel::cydra5();
+  const std::vector<LoopBody> Suite =
+      buildOracleSuite(/*Count=*/200, /*MinOps=*/3, /*MaxOps=*/20,
+                       /*Seed=*/0xD1FF, /*Jobs=*/1);
+  ASSERT_EQ(Suite.size(), 200u);
+  for (const LoopBody &Body : Suite)
+    expectReachListsMatchMatrix(Body, Machine);
+}
+
 TEST(MinDistSccTest, CacheSurvivesGraphSwitch) {
   // One matrix alternating between two different graphs must re-condense
   // rather than serve the stale structure.
@@ -75,15 +177,9 @@ TEST(MinDistSccTest, CacheSurvivesGraphSwitch) {
   MinDistMatrix Fast;
   for (int Round = 0; Round < 2; ++Round) {
     for (const DepGraph &Graph : Graphs) {
-      const int MII = computeMII(Graph).MII;
-      MinDistMatrix Dense;
-      const bool FastOk = Fast.compute(Graph, MII + Round);
-      ASSERT_EQ(FastOk, Dense.computeDense(Graph, MII + Round));
-      if (!FastOk)
-        continue;
-      for (int X = 0; X < Dense.numOps(); ++X)
-        for (int Y = 0; Y < Dense.numOps(); ++Y)
-          ASSERT_EQ(Fast.at(X, Y), Dense.at(X, Y));
+      const int II = computeMII(Graph).MII + Round;
+      expectEqualsDense(Fast, Fast.compute(Graph, II), Graph, II,
+                        Graph.body().Name);
     }
   }
 }
