@@ -83,21 +83,24 @@ std::string randomDslAttempt(uint64_t Seed) {
 /// passes until at least \p MinWarmPasses of them have run and they have
 /// lasted at least MinWarmSeconds.
 ServiceBenchResult runPair(const std::vector<ServiceRequest> &Requests,
-                           int MinWarmPasses, const ServiceConfig &Config) {
+                           int MinWarmPasses) {
   constexpr double MinWarmSeconds = 0.010;
-  SchedulingService Service(Config);
+  SchedulingService Service;
   ServiceBenchResult Result;
   Result.CorpusLoops = static_cast<int>(Requests.size());
 
+  const auto pass = [&] {
+    for (size_t I = 0; I < Requests.size(); ++I)
+      if (!Service.handle(Requests[I], static_cast<int>(I)).Ok)
+        ++Result.Errors;
+  };
   const auto Cold0 = Clock::now();
-  for (const ServiceResponse &R : Service.handleBatch(Requests))
-    Result.Errors += R.Ok ? 0 : 1;
+  pass();
   Result.ColdSeconds = secondsSince(Cold0);
 
   const auto Warm0 = Clock::now();
   do {
-    for (const ServiceResponse &R : Service.handleBatch(Requests))
-      Result.Errors += R.Ok ? 0 : 1;
+    pass();
     ++Result.WarmPasses;
     Result.WarmSeconds = secondsSince(Warm0);
   } while (Result.WarmPasses < MinWarmPasses ||
@@ -146,8 +149,6 @@ ServiceBenchResult
 lsms::runServiceBench(const std::vector<std::string> &Corpus,
                       ServiceEngine Engine, int WarmPasses) {
   constexpr int Pairs = 5;
-  ServiceConfig Config;
-  Config.Jobs = 1;
   std::vector<ServiceRequest> Requests;
   Requests.reserve(Corpus.size());
   for (size_t I = 0; I < Corpus.size(); ++I) {
@@ -161,7 +162,7 @@ lsms::runServiceBench(const std::vector<std::string> &Corpus,
   std::vector<ServiceBenchResult> Runs;
   int Errors = 0;
   for (int P = 0; P < Pairs; ++P) {
-    Runs.push_back(runPair(Requests, WarmPasses, Config));
+    Runs.push_back(runPair(Requests, WarmPasses));
     Errors += Runs.back().Errors;
   }
   std::sort(Runs.begin(), Runs.end(),

@@ -51,14 +51,14 @@ struct ServiceBenchResult {
   int Errors = 0;               ///< non-Ok responses (should be 0)
 };
 
-/// Runs the corpus through five fresh one-worker SchedulingService
-/// instances. Each times one cold pass, then warm passes until at least
-/// \p WarmPasses of them have run and they have lasted at least 10 ms, so
-/// the warm side is never a ~1 ms phase. One worker keeps the batch
-/// hand-off between threads, which dominates a ~0.15 ms warm pass at
-/// hardware width, out of the ratio; serviceResponsesAtJobs covers the
-/// wider pools. Returns the pair with the median warm speedup; Errors
-/// counts every pair. Every request uses \p Engine.
+/// Runs the corpus through five fresh SchedulingService instances, calling
+/// handle() in a loop on the caller's thread. Each times one cold pass,
+/// then warm passes until at least \p WarmPasses of them have run and they
+/// have lasted at least 10 ms, so the warm side is never a ~1 ms phase.
+/// One thread keeps hand-off between threads, which dominates a ~0.15 ms
+/// warm pass at hardware width, out of the ratio; serviceResponsesAtJobs
+/// covers wider job counts. Returns the pair with the median warm speedup;
+/// Errors counts every pair. Every request uses \p Engine.
 ServiceBenchResult runServiceBench(const std::vector<std::string> &Corpus,
                                    ServiceEngine Engine, int WarmPasses);
 

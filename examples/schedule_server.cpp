@@ -11,9 +11,10 @@
 /// service metrics as one JSON line.
 ///
 /// Scaling: --io-shards=N runs N SO_REUSEPORT-sharded IO event loops over
-/// one worker pool. Under overload, requests degrade down the tier ladder
-/// (exact -> slack -> cached) before anything is shed; --slack-queue and
-/// --no-cached-fallback tune the ladder.
+/// one set of --jobs=N workers (--workers=N is another spelling of it; the
+/// two must agree when both are given). Under overload, requests degrade
+/// down the tier ladder (exact -> slack -> cached) before anything is
+/// shed; --slack-queue and --no-cached-fallback tune the ladder.
 ///
 /// SIGTERM/SIGINT drain gracefully: the listener closes, in-flight and
 /// already-connected work completes, then the process exits 0.
@@ -34,15 +35,18 @@
 ///   Idle connections close after 60 s by default (--idle-timeout-ms=-1
 ///   disables the deadline; the embedded-server default is disabled, the
 ///   deployment default here is not).
+///   Every N is a whole decimal integer in its flag's range (--io-shards
+///   and --max-conns at least 1, --idle-timeout-ms any, the rest at least
+///   0); anything else prints the usage line and exits 2.
 //===----------------------------------------------------------------------===//
 
 #include "net/EpollServer.h"
 #include "service/EngineFlag.h"
 
+#include <algorithm>
 #include <csignal>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <limits>
 
 using namespace lsms;
 
@@ -73,6 +77,7 @@ void usage() {
          "                       [--metrics]\n"
          "Serves JSONL scheduling requests over TCP. SIGTERM drains\n"
          "gracefully. --store persists schedules across restarts.\n"
+         "--workers=N is another spelling of --jobs=N.\n"
          "--io-shards runs N SO_REUSEPORT IO loops; under overload the\n"
          "tier ladder degrades exact->slack->cached before shedding.\n";
 }
@@ -90,37 +95,48 @@ int main(int Argc, char **Argv) {
   bool PrintPort = false;
   bool PrintMetrics = false;
 
+  int Jobs = -1, Workers = -1; // -1: not given
+  bool BadNumber = false;
+  // Reads --<flag>=N into Out when Arg is that flag; N must be a whole
+  // decimal integer of Out's type, at least Min.
+  const auto number = [&BadNumber](const std::string &Arg,
+                                   std::string_view Flag, auto &Out,
+                                   auto Min) {
+    if (Arg.rfind(Flag, 0) != 0)
+      return false;
+    auto N = Out;
+    if (parseWholeInteger(std::string_view(Arg).substr(Flag.size()), N) &&
+        N >= Min)
+      Out = N;
+    else
+      BadNumber = true;
+    return true;
+  };
+
   for (int I = 1; I < Argc; ++I) {
     const std::string Arg = Argv[I];
-    const auto intOf = [&](size_t Prefix) {
-      return std::strtol(Arg.c_str() + Prefix, nullptr, 10);
-    };
-    if (Arg.rfind("--port=", 0) == 0) {
-      Server.Port = static_cast<uint16_t>(intOf(7));
+    if (number(Arg, "--port=", Server.Port, 0) ||
+        number(Arg, "--jobs=", Jobs, 0) ||
+        number(Arg, "--workers=", Workers, 0) ||
+        number(Arg, "--io-shards=", Server.IoShards, 1) ||
+        number(Arg, "--max-queue=", Server.MaxQueueDepth, size_t{0}) ||
+        number(Arg, "--slack-queue=", Server.SlackQueueDepth, size_t{0}) ||
+        number(Arg, "--max-conns=", Server.MaxConnections, 1) ||
+        number(Arg, "--idle-timeout-ms=", Server.IdleTimeoutMs,
+               std::numeric_limits<long>::min()) ||
+        number(Arg, "--drain-timeout-ms=", Server.DrainTimeoutMs, 0L)) {
+      if (BadNumber) {
+        usage();
+        return 2;
+      }
     } else if (Arg.rfind("--bind=", 0) == 0) {
       Server.BindAddress = Arg.substr(7);
-    } else if (Arg.rfind("--jobs=", 0) == 0) {
-      Service.Jobs = static_cast<int>(intOf(7));
-    } else if (Arg.rfind("--workers=", 0) == 0) {
-      Server.Workers = static_cast<int>(intOf(10));
-    } else if (Arg.rfind("--io-shards=", 0) == 0) {
-      Server.IoShards = static_cast<int>(intOf(12));
     } else if (Arg.rfind("--store=", 0) == 0) {
       Service.StorePath = Arg.substr(8);
     } else if (Arg.rfind("--engine=", 0) == 0) {
       EngineName = Arg.substr(9);
-    } else if (Arg.rfind("--max-queue=", 0) == 0) {
-      Server.MaxQueueDepth = static_cast<size_t>(intOf(12));
-    } else if (Arg.rfind("--slack-queue=", 0) == 0) {
-      Server.SlackQueueDepth = static_cast<size_t>(intOf(14));
     } else if (Arg == "--no-cached-fallback") {
       Server.CachedFallback = false;
-    } else if (Arg.rfind("--max-conns=", 0) == 0) {
-      Server.MaxConnections = static_cast<int>(intOf(12));
-    } else if (Arg.rfind("--idle-timeout-ms=", 0) == 0) {
-      Server.IdleTimeoutMs = intOf(18);
-    } else if (Arg.rfind("--drain-timeout-ms=", 0) == 0) {
-      Server.DrainTimeoutMs = intOf(19);
     } else if (applyExactBudgetFlag(Arg, Service.Exact)) {
       // parsed an exact-budget knob
     } else if (Arg == "--enable-test-commands") {
@@ -137,6 +153,12 @@ int main(int Argc, char **Argv) {
       return 2;
     }
   }
+  // --workers is another spelling of --jobs: the server has one job count.
+  if (Jobs >= 0 && Workers >= 0 && Jobs != Workers) {
+    usage();
+    return 2;
+  }
+  Service.Jobs = std::max({Jobs, Workers, 0});
   if (!EngineName.empty()) {
     EngineSelection Sel;
     std::string EngineErr;

@@ -1,7 +1,7 @@
 //===----------------------------------------------------------------------===//
 /// \file schedule_service — the scheduling service as a command-line
 /// filter: reads JSONL requests from a file (or stdin with "-"), answers
-/// each on a persistent worker pool, and writes one JSONL response per
+/// them as one batch on --jobs threads, and writes one JSONL response per
 /// request, in request order, to stdout. The response stream is
 /// byte-identical at every --jobs value (see DESIGN.md, "Scheduling
 /// service").
@@ -19,12 +19,13 @@
 ///                    [--maxlive-node-budget=N]
 ///                    [--maxlive-conflict-budget=N]
 ///                    [--metrics] <requests.jsonl | ->
+///   Every N is a whole decimal integer (--jobs >= 0, --cache-capacity
+///   >= 1); anything else prints the usage line and exits 2.
 //===----------------------------------------------------------------------===//
 
 #include "service/EngineFlag.h"
 #include "service/SchedulingService.h"
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
@@ -58,11 +59,18 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     const std::string Arg = Argv[I];
+    const std::string_view View(Arg);
     if (Arg.rfind("--jobs=", 0) == 0) {
-      Config.Jobs = std::atoi(Arg.c_str() + 7);
+      if (!parseWholeInteger(View.substr(7), Config.Jobs) || Config.Jobs < 0) {
+        usage();
+        return 2;
+      }
     } else if (Arg.rfind("--cache-capacity=", 0) == 0) {
-      Config.CacheCapacity =
-          static_cast<size_t>(std::strtoul(Arg.c_str() + 17, nullptr, 10));
+      if (!parseWholeInteger(View.substr(17), Config.CacheCapacity) ||
+          Config.CacheCapacity < 1) {
+        usage();
+        return 2;
+      }
     } else if (Arg.rfind("--engine=", 0) == 0) {
       DefaultEngine = Arg.substr(9);
     } else if (applyExactBudgetFlag(Arg, Config.Exact)) {

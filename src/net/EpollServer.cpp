@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 
 #include <arpa/inet.h>
@@ -181,10 +182,8 @@ bool EpollServer::start(std::string &Err) {
   for (const auto &S : Shards)
     WakeFds.push_back(S->WakeFd);
 
-  NumWorkers = Config.Workers > 0 ? Config.Workers : Service.jobs();
-  NumWorkers = std::max(1, NumWorkers);
-  Workers.reserve(static_cast<size_t>(NumWorkers));
-  for (int I = 0; I < NumWorkers; ++I)
+  Workers.reserve(static_cast<size_t>(Service.jobs()));
+  for (int I = 0; I < Service.jobs(); ++I)
     Workers.emplace_back([this] { workerLoop(); });
   Running.store(true, std::memory_order_release);
   return true;
@@ -577,7 +576,11 @@ void EpollServer::scanIdle(Shard &S, int64_t NowMs) {
 
 void EpollServer::beginDrainIO(Shard &S) {
   S.Draining = true;
-  S.DrainDeadlineMs = steadyMs() + std::max(0L, Config.DrainTimeoutMs);
+  // Saturate: a timeout near the top of its range must not wrap the
+  // deadline into the past and force-close every connection at once.
+  const int64_t Now = steadyMs();
+  S.DrainDeadlineMs = Now + std::clamp<int64_t>(Config.DrainTimeoutMs, 0,
+                                                INT64_MAX - Now);
   if (S.ListenFd >= 0) {
     ::epoll_ctl(S.EpollFd, EPOLL_CTL_DEL, S.ListenFd, nullptr);
     ::close(S.ListenFd);

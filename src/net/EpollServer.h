@@ -16,11 +16,12 @@
 /// across them. Each shard owns its listener, epoll instance, eventfd,
 /// and every buffer of every connection it accepted — no connection state
 /// is ever shared between shards, so per-connection response ordering and
-/// byte-identity are exactly the single-thread story. A single fixed pool
-/// of worker threads runs SchedulingService::handleLine() for all shards;
-/// completions are routed back to the owning shard's completion list and
-/// eventfd. IoShards = 1 degenerates to the classic one-IO-thread server
-/// (and skips SO_REUSEPORT so the port stays exclusively bound).
+/// byte-identity are exactly the single-thread story. One fixed set of
+/// Service.jobs() worker threads, started by start(), runs
+/// SchedulingService::handleLine() for all shards; completions are routed
+/// back to the owning shard's completion list and eventfd. IoShards = 1
+/// degenerates to the classic one-IO-thread server (and skips SO_REUSEPORT
+/// so the port stays exclusively bound).
 ///
 /// Overload ladder: requests are classified at admission. While the
 /// shared queue is below MaxQueueDepth they run at full fidelity; between
@@ -78,8 +79,6 @@ struct ServerConfig {
   /// Independent SO_REUSEPORT-sharded IO event loops; each owns its
   /// accepted connections end to end. 1 = the single-IO-thread front end.
   int IoShards = 1;
-  /// Worker threads running handleLine(); 0 = the service's job count.
-  int Workers = 0;
   /// Full-fidelity admission bound: requests arriving while the queue
   /// holds this many jobs enter the overload ladder instead.
   size_t MaxQueueDepth = 1024;
@@ -122,8 +121,8 @@ public:
   EpollServer &operator=(const EpollServer &) = delete;
 
   /// Binds every shard's listener, creates the epoll instances, and
-  /// spawns the workers. Returns false with a diagnostic on any syscall
-  /// failure.
+  /// spawns the service's jobs() workers. Returns false with a diagnostic
+  /// on any syscall failure.
   bool start(std::string &Err);
 
   /// The bound port (the kernel's pick when Config.Port was 0; every
@@ -182,7 +181,6 @@ private:
 
   SchedulingService &Service;
   ServerConfig Config;
-  int NumWorkers = 0;
   uint16_t BoundPort = 0;
 
   std::vector<std::unique_ptr<Shard>> Shards;

@@ -10,126 +10,19 @@
 #include "support/ParallelFor.h"
 #include "workloads/Suite.h"
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <functional>
 #include <istream>
 #include <map>
 #include <mutex>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 using namespace lsms;
 
 std::string ServiceResponse::toJsonl() const {
   return renderResponseLine(*this);
 }
-
-//===----------------------------------------------------------------------===//
-// Persistent worker pool
-//===----------------------------------------------------------------------===//
-
-/// A minimal persistent pool: threads live for the service's lifetime and
-/// pick batch indices off a shared atomic counter. Work stealing order is
-/// timing-dependent, but results land in disjoint index slots and response
-/// bytes are index-ordered, so scheduling order never shows.
-class SchedulingService::Pool {
-public:
-  explicit Pool(int Threads) {
-    Workers.reserve(static_cast<size_t>(Threads));
-    for (int I = 0; I < Threads; ++I)
-      Workers.emplace_back([this] { workerLoop(); });
-  }
-
-  ~Pool() {
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      Stopping = true;
-    }
-    WakeCV.notify_all();
-    // ~jthread joins.
-  }
-
-  void run(int N, const std::function<void(int)> &Fn) {
-    if (N <= 0)
-      return;
-    {
-      // Defensive: a batch submitted after shutdown began would hang
-      // forever waiting for workers that already exited. Run it inline
-      // instead (drain() makes this unreachable in normal use).
-      std::lock_guard<std::mutex> Lock(Mu);
-      if (Stopping) {
-        for (int I = 0; I < N; ++I)
-          Fn(I);
-        return;
-      }
-    }
-    auto State = std::make_shared<Batch>();
-    State->N = N;
-    State->Fn = &Fn;
-    State->Remaining.store(N, std::memory_order_relaxed);
-    std::unique_lock<std::mutex> Lock(Mu);
-    Current = State;
-    ++Generation;
-    WakeCV.notify_all();
-    DoneCV.wait(Lock, [&] {
-      return State->Remaining.load(std::memory_order_acquire) == 0;
-    });
-    Current.reset();
-  }
-
-private:
-  /// Per-run state. Stragglers from a finished batch still hold their
-  /// shared_ptr and see an exhausted index counter, so they can never
-  /// touch the next batch's function or indices.
-  struct Batch {
-    int N = 0;
-    const std::function<void(int)> *Fn = nullptr;
-    std::atomic<int> Next{0};
-    std::atomic<int> Remaining{0};
-  };
-
-  void workerLoop() {
-    uint64_t Seen = 0;
-    while (true) {
-      std::shared_ptr<Batch> B;
-      {
-        std::unique_lock<std::mutex> Lock(Mu);
-        WakeCV.wait(Lock, [&] { return Stopping || Generation != Seen; });
-        if (Stopping)
-          return;
-        Seen = Generation;
-        B = Current;
-      }
-      if (!B)
-        continue;
-      while (true) {
-        const int I = B->Next.fetch_add(1, std::memory_order_relaxed);
-        if (I >= B->N)
-          break;
-        (*B->Fn)(I);
-        if (B->Remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard<std::mutex> Lock(Mu);
-          DoneCV.notify_all();
-        }
-      }
-    }
-  }
-
-  std::mutex Mu;
-  std::condition_variable WakeCV, DoneCV;
-  uint64_t Generation = 0;
-  bool Stopping = false;
-  std::shared_ptr<Batch> Current;
-  std::vector<std::jthread> Workers;
-};
-
-//===----------------------------------------------------------------------===//
-// Service
-//===----------------------------------------------------------------------===//
 
 namespace {
 
@@ -171,7 +64,11 @@ uint64_t exactAux(const ServiceConfig &Config, const ExactOptions &O) {
   return H;
 }
 
-CachedSchedule fromSchedule(const Schedule &S, long MaxLive) {
+/// The cache record both engines' answers take in the LRU and the store.
+CachedSchedule cachedSchedule(const Schedule &S, long MaxLive,
+                              ExactStatus Status, bool MaxLiveProven = false,
+                              MaxLiveCertificate Certificate =
+                                  MaxLiveCertificate::None) {
   CachedSchedule C;
   C.Success = S.Success;
   C.II = S.II;
@@ -179,7 +76,9 @@ CachedSchedule fromSchedule(const Schedule &S, long MaxLive) {
   C.ResMII = S.ResMII;
   C.RecMII = S.RecMII;
   C.MaxLive = MaxLive;
-  C.Status = S.Success ? ExactStatus::Optimal : ExactStatus::Infeasible;
+  C.MaxLiveProven = MaxLiveProven;
+  C.Certificate = Certificate;
+  C.Status = Status;
   if (S.Success)
     C.Times = S.Times;
   return C;
@@ -212,15 +111,12 @@ SchedulingService::SchedulingService(ServiceConfig ConfigIn)
   if (!Config.StorePath.empty() &&
       !Store.open(Config.StorePath, StoreOpenError))
     Metrics.inc("store_open_failures");
-  if (Jobs > 1)
-    Workers = std::make_unique<Pool>(Jobs);
 }
 
 SchedulingService::~SchedulingService() {
-  // Shutdown ordering: finish every admitted request first, then join the
-  // pool, then close the store the requests were writing through.
+  // Shutdown ordering: finish every admitted request first, then close the
+  // store the requests were writing through.
   drain();
-  Workers.reset();
   Store.close();
 }
 
@@ -244,20 +140,20 @@ ServiceResponse SchedulingService::handle(const ServiceRequest &ReqIn,
                                           int Index, AdmitMode Mode) {
   const InFlightGuard Guard(*this);
   const auto T0 = std::chrono::steady_clock::now();
-  // SlackOnly admission reuses the deterministic deadline-expired path:
-  // forcing DeadlineMs to 0 makes an exact request degrade to the slack
-  // heuristic without touching an exact engine, and the front-cache key
-  // already distinguishes the forced variant (the DeadlineMs == 0 flag is
-  // part of it).
-  ServiceRequest SlackOnlyReq;
-  const ServiceRequest *ReqP = &ReqIn;
-  if (Mode == AdmitMode::SlackOnly &&
-      ReqIn.Engine != ServiceEngine::Slack && ReqIn.DeadlineMs != 0) {
-    SlackOnlyReq = ReqIn;
-    SlackOnlyReq.DeadlineMs = 0;
-    ReqP = &SlackOnlyReq;
+  // SlackOnly admission reuses the deadline-expired path: forcing
+  // DeadlineMs to 0 makes an exact request degrade to the slack heuristic
+  // without touching an exact engine. Unlike a request whose own deadline
+  // is 0, a forced one may still replay a cached exact answer, so it never
+  // writes the front cache, whose deadline-0 key it shares.
+  const bool Forced = Mode == AdmitMode::SlackOnly &&
+                      ReqIn.Engine != ServiceEngine::Slack &&
+                      ReqIn.DeadlineMs != 0;
+  ServiceRequest ForcedReq;
+  if (Forced) {
+    ForcedReq = ReqIn;
+    ForcedReq.DeadlineMs = 0;
   }
-  const ServiceRequest &Req = *ReqP;
+  const ServiceRequest &Req = Forced ? ForcedReq : ReqIn;
   ServiceResponse Resp;
   Resp.Index = Index;
   Resp.Id = Req.Id;
@@ -307,9 +203,11 @@ ServiceResponse SchedulingService::handle(const ServiceRequest &ReqIn,
     Metrics.inc(R.Ok ? "requests_ok" : "requests_error");
     if (R.Ok)
       Metrics.inc(std::string("responses_tier_") + serviceTierName(R.Tier));
-    // CachedOnly answers are re-tiered replays; inserting them would
-    // poison the front cache for full-admission traffic.
-    if (FrontEligible && !Replayed && Mode != AdmitMode::CachedOnly)
+    // CachedOnly answers are re-tiered replays and forced SlackOnly ones
+    // may be exact replays; inserting either would poison the front cache
+    // for full-admission traffic.
+    if (FrontEligible && !Replayed && Mode != AdmitMode::CachedOnly &&
+        !Forced)
       Front.insert(FrontKey, R);
     return R;
   };
@@ -420,6 +318,23 @@ ServiceResponse SchedulingService::handle(const ServiceRequest &ReqIn,
   const LoopBody &Target = Equivariant ? Canon : Body;
   const DepGraph TargetGraph(Target, Config.Machine);
 
+  // The schedule tiers: the LRU, then the store, whose hit is promoted
+  // into the LRU; a computed answer is written through to both.
+  const auto lookup = [&](const CacheKey &K, CachedSchedule &Out) {
+    if (Cache.lookup(K, Out))
+      return true;
+    if (!Store.get(K, Out))
+      return false;
+    Metrics.inc("store_hits");
+    Cache.insert(K, Out);
+    return true;
+  };
+  const auto writeThrough = [&](const CacheKey &K, const CachedSchedule &C) {
+    Cache.insert(K, C);
+    if (Store.put(K, C))
+      Metrics.inc("store_writes");
+  };
+
   CachedSchedule Result;
   bool HaveResult = false;
   bool NearestUsed = false;
@@ -443,53 +358,25 @@ ServiceResponse SchedulingService::handle(const ServiceRequest &ReqIn,
       EO.IICap.MaxIISlack = Req.MaxII;
     }
     const CacheKey CK{KeyHi, KeyLo, exactAux(Config, EO)};
-    if (Cache.lookup(CK, Result)) {
-      HaveResult = true;
-      Resp.ExactVerdict = Result.Status;
-    } else if (Store.get(CK, Result)) {
-      // Persistent tier: a previous run (possibly a previous process)
-      // already computed this answer. Promote it into the LRU.
-      Metrics.inc("store_hits");
-      Cache.insert(CK, Result);
-      HaveResult = true;
-      Resp.ExactVerdict = Result.Status;
-    } else if (Mode == AdmitMode::CachedOnly) {
-      // No precomputed exact answer; fall through to the cached slack
-      // rungs below without running an engine.
-      Resp.ExactVerdict = ExactStatus::Timeout;
-    } else if (Req.DeadlineMs == 0) {
-      // A zero deadline has expired before any work can happen; skip the
-      // solve entirely so the degradation path is wall-clock independent.
-      Resp.ExactVerdict = ExactStatus::Timeout;
-    } else {
+    // A request whose own deadline is 0 never reads the exact tiers, so
+    // its answer is the slack degradation whatever the caches hold.
+    HaveResult = ReqIn.DeadlineMs != 0 && lookup(CK, Result);
+    // CachedOnly never computes, and a zero deadline has expired before
+    // any work can happen: the degradation is wall-clock independent.
+    if (!HaveResult && Mode != AdmitMode::CachedOnly && Req.DeadlineMs != 0) {
       if (Req.DeadlineMs > 0)
         EO.Deadline = T0 + std::chrono::milliseconds(Req.DeadlineMs);
       const ExactResult R = scheduleLoopExact(TargetGraph, EO);
-      Resp.ExactVerdict = R.Status;
-      CachedSchedule C;
-      C.Success = R.Sched.Success;
-      C.II = R.Sched.II;
-      C.MII = R.Sched.MII;
-      C.ResMII = R.Sched.ResMII;
-      C.RecMII = R.Sched.RecMII;
-      C.MaxLive = R.MaxLive;
-      C.MaxLiveProven = R.MaxLiveProven;
-      C.Certificate = R.Certificate;
-      C.Status = R.Status;
-      if (R.Sched.Success)
-        C.Times = R.Sched.Times;
+      Result = cachedSchedule(R.Sched, R.MaxLive, R.Status, R.MaxLiveProven,
+                              R.Certificate);
       // Deadline-free outcomes are deterministic under the service's fixed
       // budgets and safe to replay; with a deadline armed only a proven
-      // Optimal is (an Optimal ladder never hit the deadline). The same
-      // eligibility rule governs the persistent write-through.
-      if (Req.DeadlineMs < 0 || R.Status == ExactStatus::Optimal) {
-        Cache.insert(CK, C);
-        if (Store.put(CK, C))
-          Metrics.inc("store_writes");
-      }
-      Result = std::move(C);
+      // Optimal is (an Optimal ladder never hit the deadline).
+      if (Req.DeadlineMs < 0 || R.Status == ExactStatus::Optimal)
+        writeThrough(CK, Result);
       HaveResult = true;
     }
+    Resp.ExactVerdict = HaveResult ? Result.Status : ExactStatus::Timeout;
     if (HaveResult && !Result.Success)
       HaveResult = false; // cached Infeasible/Timeout: degrade below
   }
@@ -502,29 +389,26 @@ ServiceResponse SchedulingService::handle(const ServiceRequest &ReqIn,
       SO.IICap.MaxIISlack = Req.MaxII;
     }
     const CacheKey SK{KeyHi, KeyLo, slackAux(Config, SO)};
-    if (!Cache.lookup(SK, Result)) {
-      if (Store.get(SK, Result)) {
-        Metrics.inc("store_hits");
-        Cache.insert(SK, Result);
-      } else if (Mode == AdmitMode::CachedOnly) {
-        // Last rung: any persisted schedule for this loop, whatever the
-        // options aux it was computed under (a different engine or budget
-        // configuration). Validation below still guards the answer.
-        if (!Store.getByLoop(KeyHi, KeyLo, Result) || !Result.Success)
-          return cacheMiss();
-        Metrics.inc("store_nearest_hits");
-        NearestUsed = true;
-      } else {
-        const Schedule S = scheduleLoop(TargetGraph, SO);
-        long MaxLive = -1;
-        if (S.Success)
-          MaxLive =
-              computePressure(Target, S.Times, S.II, RegClass::RR).MaxLive;
-        Result = fromSchedule(S, MaxLive);
-        Cache.insert(SK, Result);
-        if (Store.put(SK, Result))
-          Metrics.inc("store_writes");
-      }
+    if (lookup(SK, Result)) {
+      // the LRU or the store answered
+    } else if (Mode == AdmitMode::CachedOnly) {
+      // Last rung: any persisted schedule for this loop, whatever the
+      // options aux it was computed under (a different engine or budget
+      // configuration). Validation below still guards the answer.
+      if (!Store.getByLoop(KeyHi, KeyLo, Result) || !Result.Success)
+        return cacheMiss();
+      Metrics.inc("store_nearest_hits");
+      NearestUsed = true;
+    } else {
+      const Schedule S = scheduleLoop(TargetGraph, SO);
+      const long MaxLive =
+          S.Success
+              ? computePressure(Target, S.Times, S.II, RegClass::RR).MaxLive
+              : -1;
+      Result = cachedSchedule(S, MaxLive,
+                              S.Success ? ExactStatus::Optimal
+                                        : ExactStatus::Infeasible);
+      writeThrough(SK, Result);
     }
     if (WantExact) {
       Resp.Degraded = true;
@@ -562,24 +446,22 @@ ServiceResponse SchedulingService::handle(const ServiceRequest &ReqIn,
   } else {
     Times = Result.Times;
   }
-  if (Config.ValidateResponses) {
-    Schedule Check;
-    Check.Success = true;
-    Check.II = Result.II;
-    Check.MII = Result.MII;
-    Check.Times = Times;
-    const DepGraph ReqGraph(Body, Config.Machine);
-    const std::string V = validateSchedule(ReqGraph, Check);
-    if (!V.empty()) {
-      // A nearest-per-loop record can legitimately fail here (it was
-      // written under a different machine/options aux): that rung simply
-      // has no answer, so shed rather than report an internal error.
-      if (NearestUsed)
-        return cacheMiss();
-      Metrics.inc("responses_validation_failures");
-      return fail(ServiceErrorCode::Internal,
-                  "internal: remapped schedule failed validation: " + V);
-    }
+  Schedule Check;
+  Check.Success = true;
+  Check.II = Result.II;
+  Check.MII = Result.MII;
+  Check.Times = Times;
+  const DepGraph ReqGraph(Body, Config.Machine);
+  const std::string V = validateSchedule(ReqGraph, Check);
+  if (!V.empty()) {
+    // A nearest-per-loop record can legitimately fail here (it was
+    // written under a different machine/options aux): that rung simply
+    // has no answer, so shed rather than report an internal error.
+    if (NearestUsed)
+      return cacheMiss();
+    Metrics.inc("responses_validation_failures");
+    return fail(ServiceErrorCode::Internal,
+                "internal: remapped schedule failed validation: " + V);
   }
 
   Resp.Ok = true;
@@ -600,22 +482,6 @@ ServiceResponse SchedulingService::handle(const ServiceRequest &ReqIn,
   if (Req.EmitTimes)
     Resp.Times = std::move(Times);
   return finish(Resp);
-}
-
-std::vector<ServiceResponse>
-SchedulingService::handleBatch(const std::vector<ServiceRequest> &Requests) {
-  std::vector<ServiceResponse> Responses(Requests.size());
-  const int N = static_cast<int>(Requests.size());
-  const std::function<void(int)> Work = [&](int I) {
-    Responses[static_cast<size_t>(I)] =
-        handle(Requests[static_cast<size_t>(I)], I);
-  };
-  if (Workers)
-    Workers->run(N, Work);
-  else
-    for (int I = 0; I < N; ++I)
-      Work(I);
-  return Responses;
 }
 
 bool SchedulingService::parseRequestLine(const std::string &Line,
@@ -735,16 +601,10 @@ int SchedulingService::processJsonl(std::istream &In, std::ostream &Out,
   }
 
   std::vector<ServiceResponse> Responses(Batch.size());
-  const int N = static_cast<int>(Batch.size());
-  const std::function<void(int)> Work = [&](int I) {
+  parallelFor(Jobs, static_cast<int>(Batch.size()), [&](int I) {
     Responses[static_cast<size_t>(I)] =
         handleLine(Batch[static_cast<size_t>(I)], I, DefaultEngine);
-  };
-  if (Workers)
-    Workers->run(N, Work);
-  else
-    for (int I = 0; I < N; ++I)
-      Work(I);
+  });
 
   int Failures = 0;
   for (const ServiceResponse &R : Responses) {

@@ -6,12 +6,15 @@
 /// per-request deadlines, and metrics.
 ///
 /// Requests arrive as JSONL lines (inline DSL source or a named suite
-/// kernel, an engine selection, optional deadline and II cap) and are
-/// dispatched to a persistent worker pool. Every request is first
-/// canonicalized (service/LoopKey.h); the service schedules the CANONICAL
-/// body and remaps issue cycles back to the request's numbering, so a
-/// cache hit and a cache miss produce bit-identical responses and the
-/// whole response stream is byte-identical at every worker count.
+/// kernel, an engine selection, optional deadline and II cap). The service
+/// owns no thread: handle() runs on its caller, processJsonl fans a batch
+/// out over Jobs threads for the length of the call, and the socket front
+/// end (net/EpollServer.h) calls handleLine() from its own Jobs workers.
+/// Every request is first canonicalized (service/LoopKey.h); the service
+/// schedules the CANONICAL body and remaps issue cycles back to the
+/// request's numbering, so a cache hit and a cache miss produce
+/// bit-identical responses and the whole response stream is byte-identical
+/// at every worker count.
 ///
 /// Robustness: an exact request that misses its wall-clock deadline or
 /// exhausts its engine budget degrades to the slack heuristic and says so
@@ -37,7 +40,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -45,9 +47,9 @@
 namespace lsms {
 
 /// How far down the overload ladder a request is admitted. Full runs the
-/// requested engine; SlackOnly forces the deterministic exact→slack
-/// degradation (the deadline-expired path) without touching an exact
-/// engine; CachedOnly answers purely from the front cache / LRU / store
+/// requested engine; SlackOnly forces the exact→slack degradation without
+/// touching an exact engine (a cached exact answer still serves);
+/// CachedOnly answers purely from the front cache / LRU / store
 /// (including the nearest-per-loop rung) and never computes — cheap
 /// enough that the socket front end runs it inline on the IO thread.
 enum class AdmitMode : uint8_t { Full, SlackOnly, CachedOnly };
@@ -60,8 +62,9 @@ struct ServiceRequest {
   std::string Source; ///< inline loop-DSL source
   ServiceEngine Engine = ServiceEngine::Slack;
   /// Wall-clock deadline for exact engines, in milliseconds from request
-  /// start: < 0 means none; 0 means already expired (always degrades —
-  /// deterministically, which the degradation tests rely on).
+  /// start: < 0 means none; 0 means already expired: the request always
+  /// degrades to the slack answer without reading the exact cache tiers,
+  /// so the answer does not depend on what earlier requests cached.
   long DeadlineMs = -1;
   /// When > 0, an absolute II cap replacing the configured IICapPolicy.
   int MaxII = 0;
@@ -115,8 +118,9 @@ struct ServiceResponse {
 
 /// Service-wide configuration.
 struct ServiceConfig {
-  /// Worker threads for handleBatch/processJsonl; 0 = LSMS_JOBS or the
-  /// hardware count, 1 = run requests inline on the caller.
+  /// The service's one job count: the threads processJsonl fans a batch
+  /// out over (1 = inline on the caller) and the workers a socket front
+  /// end starts; 0 = LSMS_JOBS or the hardware count.
   int Jobs = 0;
   size_t CacheCapacity = 4096;
   int CacheShards = 8;
@@ -136,14 +140,12 @@ struct ServiceConfig {
   /// warm state survives restarts. Open failures disable the store and
   /// are reported by storeError().
   std::string StorePath;
-  /// Re-validate every remapped schedule against the request's own
-  /// dependence graph before responding (cheap; guards the cache's
-  /// canonical-isomorphism remap against fingerprint collisions).
-  bool ValidateResponses = true;
 };
 
-/// The service. Thread-safe: handle() may be called concurrently, and
-/// handleBatch/processJsonl fan out over the persistent worker pool.
+/// The service. Thread-safe: handle() may be called concurrently. Every
+/// remapped schedule is re-validated against the request's own dependence
+/// graph before it is returned (cheap; guards the cache's canonical remap
+/// against fingerprint collisions).
 class SchedulingService {
 public:
   explicit SchedulingService(ServiceConfig Config = ServiceConfig());
@@ -177,10 +179,6 @@ public:
                             ServiceEngine DefaultEngine,
                             ServiceResponse &Out);
 
-  /// Handles a batch on the worker pool; Responses[I] answers Requests[I].
-  std::vector<ServiceResponse>
-  handleBatch(const std::vector<ServiceRequest> &Requests);
-
   /// Parses one JSONL request line. Returns false with a diagnostic on
   /// malformed JSON, unknown fields, or a missing/ambiguous loop payload.
   /// A request without an "engine" field gets \p DefaultEngine.
@@ -190,7 +188,7 @@ public:
                    ServiceEngine DefaultEngine = ServiceEngine::Slack);
 
   /// Reads JSONL requests from \p In (blank lines and '#' comments are
-  /// skipped), schedules them as one batch on the worker pool, and writes
+  /// skipped), schedules them as one batch on jobs() threads, and writes
   /// one response line per request to \p Out in request order. Returns the
   /// number of non-Ok responses.
   int processJsonl(std::istream &In, std::ostream &Out,
@@ -206,9 +204,9 @@ public:
 
   /// beginDrain() plus a blocking wait until every in-flight handle()
   /// call (and therefore every batch) has completed, so each admitted
-  /// request's response exists before the worker pool is torn down. The
-  /// destructor drains before joining the pool and closing the store;
-  /// servers drain on SIGTERM so no admitted request is dropped.
+  /// request's response exists before the store closes. The destructor
+  /// drains before closing the store; servers drain on SIGTERM so no
+  /// admitted request is dropped.
   void drain();
 
   const ServiceConfig &config() const { return Config; }
@@ -231,8 +229,6 @@ public:
   std::string metricsJson(bool Pretty = true) const;
 
 private:
-  class Pool;
-
   /// RAII in-flight accounting for drain().
   class InFlightGuard;
 
@@ -240,14 +236,14 @@ private:
   int Jobs;
   ScheduleCache Cache;
   /// Request-level memo: rendered responses keyed by raw payload text.
-  /// Deadline-armed (DeadlineMs > 0) requests bypass it, so every entry is
-  /// a pure function of the request and replays are bit-exact.
+  /// Deadline-armed (DeadlineMs > 0) requests bypass it, and CachedOnly
+  /// replays and forced SlackOnly answers never enter it, so every entry
+  /// is a pure function of the request and replays are bit-exact.
   ShardedLruCache<ServiceResponse> Front;
   /// The persistent tier below the LRU (unmounted when StorePath is "").
   ScheduleStore Store;
   std::string StoreOpenError;
   MetricsRegistry Metrics;
-  std::unique_ptr<Pool> Workers;
 
   std::atomic<bool> Draining{false};
   std::atomic<long> InFlight{0};

@@ -5,8 +5,9 @@
 /// overload shedding under a bounded admission queue, the tiered overload
 /// ladder (exact -> slack -> cached -> shed), SO_REUSEPORT IO sharding,
 /// the metrics control command, graceful drain of in-flight work,
-/// connection-cap rejection, and warm restarts answering from the
-/// persistent store.
+/// connection-cap rejection, warm restarts answering from the persistent
+/// store, and the one job count (the server starts the service's jobs()
+/// workers; the service starts none).
 //===----------------------------------------------------------------------===//
 
 #include "net/EpollServer.h"
@@ -17,6 +18,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -71,6 +75,12 @@ std::string roundTrip(const TestServer &Server,
   return Stream;
 }
 
+/// Threads in this process, counted in /proc/self/task.
+long threadCount() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator());
+}
+
 std::string requestCorpus() {
   std::ostringstream OS;
   OS << "{\"kernel\": \"ll1_hydro\", \"engine\": \"bnb\"}\n"
@@ -107,6 +117,20 @@ TEST(NetServer, ByteIdenticalWithJsonlPipe) {
   EXPECT_EQ(roundTrip(Server, Requests), Expected);
   // And again on the same (now warm) server: replays are bit-exact too.
   EXPECT_EQ(roundTrip(Server, Requests), Expected);
+}
+
+// One job count: the service starts no thread, and the server starts
+// exactly the service's jobs() workers.
+TEST(NetServer, StartAddsOneWorkerPerServiceJob) {
+  const long Before = threadCount();
+  ServiceConfig SC;
+  SC.Jobs = 3;
+  SchedulingService Svc(SC);
+  EXPECT_EQ(threadCount(), Before);
+  EpollServer Srv(Svc);
+  std::string Err;
+  ASSERT_TRUE(Srv.start(Err)) << Err;
+  EXPECT_EQ(threadCount(), Before + 3);
 }
 
 TEST(NetServer, ConcurrentClientsGetOrderedResponses) {
@@ -152,7 +176,6 @@ TEST(NetServer, OverloadShedsBeyondBoundedQueue) {
   ServiceConfig SC;
   SC.Jobs = 1;
   ServerConfig NC;
-  NC.Workers = 1;
   NC.MaxQueueDepth = 1;
   // Pin the pre-ladder behavior: no slack band, no cached rung, so
   // everything past the queue bound sheds immediately.
@@ -201,7 +224,6 @@ TEST(NetServer, OverloadLadderDegradesBeforeShedding) {
   ServiceConfig SC;
   SC.Jobs = 1;
   ServerConfig NC;
-  NC.Workers = 1;
   NC.MaxQueueDepth = 1;
   NC.SlackQueueDepth = 2;
   NC.CachedFallback = true;
@@ -355,7 +377,6 @@ TEST(NetServer, GracefulDrainAnswersEverythingInFlight) {
   ServiceConfig SC;
   SC.Jobs = 1;
   ServerConfig NC;
-  NC.Workers = 1;
   NC.EnableTestCommands = true;
   NC.DrainTimeoutMs = 10000;
   TestServer Server(SC, NC);
@@ -382,6 +403,28 @@ TEST(NetServer, GracefulDrainAnswersEverythingInFlight) {
               0u);
   Server.stop();
   EXPECT_FALSE(Server.Srv.running());
+}
+
+// The largest drain timeout schedule_server accepts still drains: the
+// deadline saturates instead of wrapping into the past and force-closing
+// a connection that is still being served.
+TEST(NetServer, HugeDrainTimeoutKeepsServingOpenConnections) {
+  ServerConfig NC;
+  NC.DrainTimeoutMs = std::numeric_limits<long>::max();
+  TestServer Server(ServiceConfig(), NC);
+
+  JsonlClient Client = connectTo(Server);
+  std::string Err, Line;
+  ASSERT_TRUE(Client.sendLine("{\"kernel\": \"daxpy\"}", Err));
+  ASSERT_TRUE(Client.recvLine(Line, Err)) << Err;
+  Server.Srv.requestStop();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(Client.sendLine("{\"kernel\": \"dscale\"}", Err));
+  ASSERT_TRUE(Client.recvLine(Line, Err)) << Err;
+  EXPECT_NE(Line.find("\"status\":\"ok\""), std::string::npos) << Line;
+  Client.shutdownWrite();
+  Server.stop();
+  EXPECT_EQ(Server.Svc.metrics().counter("net_drain_forced"), 0);
 }
 
 TEST(NetServer, ConnectionsBeyondCapAreRejected) {

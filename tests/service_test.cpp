@@ -1,8 +1,9 @@
 //===----------------------------------------------------------------------===//
 /// \file Tests for the scheduling service (service/SchedulingService.h):
 /// request parsing, cache behavior (hits, LRU eviction, hit-vs-miss
-/// response identity), deadline degradation, per-request II caps, and
-/// byte-identical JSONL streams across worker counts.
+/// response identity), deadline degradation, per-request II caps,
+/// byte-identical JSONL streams across worker counts, and a service that
+/// starts no thread of its own.
 //===----------------------------------------------------------------------===//
 
 #include "service/SchedulingService.h"
@@ -17,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <iterator>
 #include <sstream>
 #include <thread>
 
@@ -30,6 +33,12 @@ ServiceRequest kernelRequest(const std::string &Kernel,
   Req.Kernel = Kernel;
   Req.Engine = Engine;
   return Req;
+}
+
+/// Threads in this process, counted in /proc/self/task.
+long threadCount() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator());
 }
 
 TEST(ServiceParseTest, AcceptsFullRequest) {
@@ -283,6 +292,83 @@ TEST(ServiceTest, JsonlStreamIsByteIdenticalAcrossJobs) {
   EXPECT_EQ(Index, 2 * static_cast<int>(kernelSources().size()) + 1);
 }
 
+// A deadline_ms 0 request always degrades to the slack answer: an exact
+// answer for the same loop that an earlier request left in the LRU must
+// not leak into it, or the answer (which the front cache stores as a pure
+// function of the request) would depend on the requests before it.
+TEST(ServiceTest, ZeroDeadlineAnswerIgnoresEarlierExactAnswer) {
+  const std::string Exact = "{\"kernel\":\"ll1_hydro\",\"engine\":\"bnb\"}";
+  const std::string Expired =
+      "{\"kernel\":\"ll1_hydro\",\"engine\":\"bnb\",\"deadline_ms\":0}";
+  ServiceConfig SC;
+  SC.Jobs = 1;
+  SchedulingService Alone(SC);
+  const std::string Expected = Alone.handleLine(Expired, 1).toJsonl() + "\n";
+  EXPECT_NE(Expected.find("\"tier\":\"slack\",\"degraded\":true"),
+            std::string::npos)
+      << Expected;
+
+  SchedulingService Service(SC);
+  const std::string Stream = runJsonl(Service, Exact + "\n" + Expired + "\n");
+  ASSERT_NE(Stream.find("\"tier\":\"exact\""), std::string::npos) << Stream;
+  EXPECT_EQ(Stream.substr(Stream.find('\n') + 1), Expected);
+}
+
+// The SlackOnly overload rung may still answer from a cached exact answer,
+// but that answer never enters the front cache under the deadline-0 key it
+// shares with requests whose own deadline is 0.
+TEST(ServiceTest, SlackOnlyReplaysCachedExactWithoutFillingFrontCache) {
+  SchedulingService Service;
+  const ServiceRequest Req =
+      kernelRequest("ll1_hydro", ServiceEngine::BranchAndBound);
+  const ServiceResponse Exact = Service.handle(Req);
+  ASSERT_EQ(Exact.Tier, ServiceTier::Exact);
+  EXPECT_EQ(Service.handle(Req, 0, AdmitMode::SlackOnly).toJsonl(),
+            Exact.toJsonl());
+
+  ServiceRequest Expired = Req;
+  Expired.DeadlineMs = 0;
+  const ServiceResponse Degraded = Service.handle(Expired);
+  ASSERT_TRUE(Degraded.Ok) << Degraded.Error;
+  EXPECT_EQ(Degraded.Tier, ServiceTier::Slack);
+  EXPECT_TRUE(Degraded.Degraded);
+}
+
+// Every engine, max_ii, emit_times, deadline_ms 0 right after an exact
+// answer for the same loop, and malformed lines: one byte string at every
+// job count, run after run.
+TEST(ServiceTest, MixedStreamIsOneByteStringAtEveryJobCount) {
+  const char *Engines[] = {"slack", "bnb", "sat", "portfolio"};
+  std::ostringstream Input;
+  int K = 0;
+  for (const NamedKernel &Kernel : kernelSources()) {
+    const std::string Head = std::string("{\"kernel\":\"") + Kernel.Name +
+                             "\",\"engine\":\"" + Engines[K % 4] + "\"";
+    Input << Head << "}\n" << Head << ",\"deadline_ms\":0}\n";
+    if (K % 3 == 0)
+      Input << Head << ",\"max_ii\":" << 2 + K % 5
+            << ",\"emit_times\":true}\n";
+    if (K % 10 == 0)
+      Input << "{\"kernel\":\"" << Kernel.Name << "\",\"deadline_ms\":\"0\"}\n"
+            << "not json\n";
+    ++K;
+  }
+  std::string First;
+  for (int Run = 0; Run < 20; ++Run)
+    for (const int Jobs : {1, 2, 4}) {
+      ServiceConfig Config;
+      Config.Jobs = Jobs;
+      SchedulingService Service(Config);
+      const std::string Stream = runJsonl(Service, Input.str());
+      if (First.empty())
+        First = Stream;
+      ASSERT_EQ(Stream, First) << "run " << Run << " at jobs " << Jobs;
+    }
+  EXPECT_NE(First.find("\"tier\":\"exact\""), std::string::npos);
+  EXPECT_NE(First.find("\"degraded\":true"), std::string::npos);
+  EXPECT_NE(First.find("\"error_code\":\"bad_request\""), std::string::npos);
+}
+
 TEST(ServiceTest, ParseErrorsBecomeErrorResponses) {
   SchedulingService Service;
   const std::string Out =
@@ -341,6 +427,19 @@ TEST(ServiceTest, HandleLineMatchesProcessJsonl) {
     Got << Direct.handleLine(Lines[I], I, ServiceEngine::Slack).toJsonl()
         << "\n";
   EXPECT_EQ(Got.str(), Expected.str());
+}
+
+// The service owns no thread: a job count only sizes processJsonl's
+// fan-out and a socket front end's workers.
+TEST(ServiceTest, ConstructionStartsNoThread) {
+  const long Before = threadCount();
+  ServiceConfig SC;
+  SC.Jobs = 8;
+  SchedulingService Service(SC);
+  EXPECT_EQ(Service.jobs(), 8);
+  EXPECT_EQ(threadCount(), Before);
+  ASSERT_TRUE(Service.handle(kernelRequest("daxpy")).Ok);
+  EXPECT_EQ(threadCount(), Before);
 }
 
 // Regression for the shutdown ordering bug: destroying (or draining) the
