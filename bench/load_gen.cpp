@@ -30,10 +30,14 @@
 
 #include "NetBenchCommon.h"
 #include "ServiceBenchCommon.h"
+#include "support/ParseInteger.h"
 
-#include <cstdlib>
-#include <cstring>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <iostream>
+#include <string_view>
+#include <utility>
 
 using namespace lsms;
 
@@ -89,29 +93,35 @@ int main(int Argc, char **Argv) {
   double TargetRps = 0;
   int ClientThreads = 0;
 
-  for (int I = 1; I < Argc; ++I) {
-    const std::string Arg = Argv[I];
-    const auto intArg = [&](const char *Prefix, auto &Dst) {
-      const size_t Len = std::strlen(Prefix);
-      if (Arg.rfind(Prefix, 0) != 0)
+  bool Ok = true;
+  for (int I = 1; I < Argc && Ok; ++I) {
+    const std::string_view Arg = Argv[I];
+    // Reads --<flag>=N into Dst, refusing N < Min; false when Arg is
+    // another flag.
+    const auto intArg = [&](std::string_view Prefix, auto &Dst, long Min) {
+      if (!Arg.starts_with(Prefix))
         return false;
-      Dst = static_cast<std::remove_reference_t<decltype(Dst)>>(
-          std::strtol(Arg.c_str() + Len, nullptr, 10));
+      Ok = parseWholeInteger(Arg.substr(Prefix.size()), Dst) &&
+           std::cmp_greater_equal(Dst, Min);
       return true;
     };
-    if (Arg.rfind("--host=", 0) == 0) {
+    if (Arg.starts_with("--host=")) {
       Config.Host = Arg.substr(7);
-    } else if (Arg.rfind("--engine=", 0) == 0) {
+    } else if (Arg.starts_with("--engine=")) {
       Config.Engine = Arg.substr(9);
-    } else if (Arg.rfind("--rps=", 0) == 0) {
-      TargetRps = std::strtod(Arg.c_str() + 6, nullptr);
-    } else if (intArg("--port=", Config.Port) ||
-               intArg("--connections=", Config.Connections) ||
-               intArg("--requests=", TotalRequests) ||
-               intArg("--pipeline=", Config.PipelineDepth) ||
-               intArg("--corpus=", CorpusRandom) ||
-               intArg("--seed=", Seed) || intArg("--passes=", Passes) ||
-               intArg("--threads=", ClientThreads)) {
+    } else if (Arg.starts_with("--rps=")) {
+      const std::string_view Text = Arg.substr(6);
+      const char *Last = Text.data() + Text.size();
+      const auto [Ptr, Ec] = std::from_chars(Text.data(), Last, TargetRps);
+      Ok = Ec == std::errc() && Ptr == Last && std::isfinite(TargetRps) &&
+           TargetRps > 0;
+    } else if (intArg("--port=", Config.Port, 1) ||
+               intArg("--connections=", Config.Connections, 1) ||
+               intArg("--requests=", TotalRequests, 0) ||
+               intArg("--pipeline=", Config.PipelineDepth, 1) ||
+               intArg("--corpus=", CorpusRandom, 0) ||
+               intArg("--seed=", Seed, 0) || intArg("--passes=", Passes, 0) ||
+               intArg("--threads=", ClientThreads, 0)) {
       // parsed
     } else if (Arg == "--disjoint") {
       Config.DisjointSlices = true;
@@ -120,14 +130,17 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--json") {
       Json = true;
     } else {
-      std::cerr << "usage: load_gen --port=P [--host=A] [--connections=N]\n"
-                   "                [--requests=N] [--pipeline=N]\n"
-                   "                [--engine=slack|bnb|sat|portfolio]\n"
-                   "                [--corpus=N] [--seed=S] [--passes=N]\n"
-                   "                [--disjoint] [--json]\n"
-                   "                [--open --rps=R [--threads=N]]\n";
-      return 2;
+      Ok = false;
     }
+  }
+  if (!Ok) {
+    std::cerr << "usage: load_gen --port=P [--host=A] [--connections=N]\n"
+                 "                [--requests=N] [--pipeline=N]\n"
+                 "                [--engine=slack|bnb|sat|portfolio]\n"
+                 "                [--corpus=N] [--seed=S] [--passes=N]\n"
+                 "                [--disjoint] [--json]\n"
+                 "                [--open --rps=R [--threads=N]]\n";
+    return 2;
   }
   if (Config.Port == 0) {
     std::cerr << "load_gen: --port is required\n";

@@ -14,6 +14,7 @@
 #include "ServiceBenchCommon.h"
 
 #include "support/ParallelFor.h"
+#include "support/ParseInteger.h"
 
 #include <cstring>
 #include <fstream>
@@ -23,6 +24,13 @@
 using namespace lsms;
 
 namespace {
+
+/// True when Argv[I] is \p Flag followed by a whole count >= 0, which is
+/// stored in \p Out.
+bool countFlag(int Argc, char **Argv, int I, const char *Flag, int &Out) {
+  return std::strcmp(Argv[I], Flag) == 0 && I + 1 < Argc &&
+         parseWholeInteger(Argv[I + 1], Out) && Out >= 0;
+}
 
 std::string formatDouble(double V, int Digits) {
   char Buf[64];
@@ -42,12 +50,10 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--smoke") == 0) {
       Smoke = true;
-    } else if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc) {
-      JobsN = std::atoi(Argv[++I]);
-    } else if (std::strcmp(Argv[I], "--loops") == 0 && I + 1 < Argc) {
-      RandomLoops = std::atoi(Argv[++I]);
-    } else if (std::strcmp(Argv[I], "--repeats") == 0 && I + 1 < Argc) {
-      Repeats = std::atoi(Argv[++I]);
+    } else if (countFlag(Argc, Argv, I, "--jobs", JobsN) ||
+               countFlag(Argc, Argv, I, "--loops", RandomLoops) ||
+               countFlag(Argc, Argv, I, "--repeats", Repeats)) {
+      ++I;
     } else if (std::strcmp(Argv[I], "--engine") == 0 && I + 1 < Argc) {
       if (!parseServiceEngine(Argv[++I], Engine)) {
         std::cerr << "service_bench: unknown engine '" << Argv[I] << "'\n";

@@ -7,7 +7,7 @@
 /// Usage:
 ///   lsmsc [options] <file.loop | ->
 ///     --scheduler=slack|cydrome|unidirectional
-///     --load-latency=N     override the machine's load latency
+///     --load-latency=N     override the machine's load latency (N >= 1)
 ///     --iterations=N       simulate N iterations (default 40; 0 disables)
 ///     --print-ir --print-schedule --print-kernel   (all on by default)
 ///     --quiet              only print the summary line
@@ -19,12 +19,13 @@
 #include "core/SchedulePrinter.h"
 #include "core/Validate.h"
 #include "frontend/LoopCompiler.h"
+#include "support/ParseInteger.h"
 #include "vliwsim/MachineSim.h"
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 
 using namespace lsms;
 
@@ -62,9 +63,17 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (Arg.rfind("--load-latency=", 0) == 0) {
-      LoadLatency = std::atoi(Arg.c_str() + 15);
+      if (!parseWholeInteger(std::string_view(Arg).substr(15), LoadLatency) ||
+          LoadLatency < 1) {
+        usage();
+        return 2;
+      }
     } else if (Arg.rfind("--iterations=", 0) == 0) {
-      Iterations = std::atol(Arg.c_str() + 13);
+      if (!parseWholeInteger(std::string_view(Arg).substr(13), Iterations) ||
+          Iterations < 0) {
+        usage();
+        return 2;
+      }
     } else if (Arg == "--quiet") {
       Quiet = true;
     } else if (Arg == "--help" || Arg == "-h") {

@@ -25,8 +25,8 @@
 
 #include "exact/ExactEngine.h"
 #include "service/Protocol.h"
+#include "support/ParseInteger.h"
 
-#include <charconv>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -88,20 +88,6 @@ inline bool parseEngineSelection(const std::string &Name, bool AllowSlack,
           std::string(engineFlagChoices(AllowSlack, AllowAll)) + ")";
     return false;
   }
-  return true;
-}
-
-/// Parses all of \p Text as a decimal integer of \p Out's type: the one
-/// rule for every number a tool reads from its command line. Returns false,
-/// leaving \p Out untouched, on an empty value, trailing text or a value
-/// out of range.
-template <typename T> bool parseWholeInteger(std::string_view Text, T &Out) {
-  const char *Last = Text.data() + Text.size();
-  T Value{};
-  const auto [Ptr, Ec] = std::from_chars(Text.data(), Last, Value);
-  if (Ec != std::errc() || Ptr != Last)
-    return false;
-  Out = Value;
   return true;
 }
 
