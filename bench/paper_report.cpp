@@ -35,7 +35,6 @@
 #include "core/ModuloScheduler.h"
 #include "frontend/LoopCompiler.h"
 #include "graph/MinDist.h"
-#include "graph/Scc.h"
 #include "ir/Unroll.h"
 #include "machine/MachineModel.h"
 #include "regalloc/RotatingAllocator.h"
@@ -182,13 +181,12 @@ LoopAnalysis analyzeLoop(const DepGraph &Graph) {
   A.MII = Bounds.MII;
 
   const auto Critical = markCriticalOps(Body, Graph.machine(), A.MII);
-  const SccInfo Sccs = computeSccs(Graph);
   for (const Operation &Op : Body.Ops) {
     if (isPseudo(Op.Opc))
       continue;
     if (Critical[static_cast<size_t>(Op.Id)])
       ++A.CriticalOps;
-    if (Sccs.OnRecurrence[static_cast<size_t>(Op.Id)])
+    if (Graph.onRecurrence(Op.Id))
       ++A.RecurrenceOps;
     if (isDividerOp(Op.Opc))
       ++A.DivOps;

@@ -80,22 +80,14 @@ lsms::scheduleStraightLine(const DepGraph &Graph,
     BigII += Machine.reservationCycles(Op.Opc) + Machine.latency(Op.Opc);
 
   SchedulerOptions Acyclic = Options;
-  Acyclic.IICap.MaxIIFactor = 4;
   // Straight-line mode: keep Lstart(Stop) near the critical path and relax
   // it additively when resource contention forces a longer block.
   Acyclic.AcyclicPadStep =
       std::max(4, Body.numMachineOps() / 4);
 
-  // Force the single attempt at BigII by treating it as the loop's MII:
-  // scheduleLoop starts at max(ResMII, RecMII) — both far below BigII — so
-  // instead run the framework through a body whose brtop-II floor is
-  // raised artificially. Simplest faithful approach: call scheduleLoop
-  // and, when the achieved II wraps nothing (length <= II), reuse it;
-  // otherwise reschedule with a pseudo arc forcing the larger II. In
-  // practice the framework at II >= length never wraps, so we schedule at
-  // BigII directly via a dedicated entry: add a self arc on brtop with
-  // latency BigII and omega 1, which lifts RecMII to BigII without
-  // otherwise constraining the block.
+  // Straight-line mode tries one II, the MII. A self arc on brtop with
+  // latency BigII and omega 1 lifts it to BigII, where iterations never
+  // overlap, and constrains nothing else.
   LoopBody Padded = Body;
   Padded.MemDeps.push_back(
       {Padded.brTopOp(), Padded.brTopOp(), DepKind::Extra,

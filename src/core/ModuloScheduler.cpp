@@ -5,7 +5,6 @@
 #include "core/BoundsTracker.h"
 #include "core/FuAssignment.h"
 #include "graph/MinDist.h"
-#include "graph/Scc.h"
 #include "machine/ModuloResourceTable.h"
 
 #include <algorithm>
@@ -65,13 +64,12 @@ public:
   AttemptScheduler(const DepGraph &Graph, const SchedulerOptions &Options,
                    const MinDistMatrix &MinDist, const ReachLists &Reach,
                    int II, int ResMII, const std::vector<int> &FuInstance,
-                   const UnitInstances &Units,
-                   const std::vector<bool> &OnRecurrence,
-                   ScheduleStats &Stats, long StopPad = -1)
+                   const UnitInstances &Units, ScheduleStats &Stats,
+                   long StopPad = -1)
       : Graph(Graph), Body(Graph.body()), Machine(Graph.machine()),
         Options(Options), MinDist(MinDist), Reach(Reach), II(II),
-        ResMII(ResMII), FuInstance(FuInstance), Units(Units),
-        OnRecurrence(OnRecurrence), Stats(Stats), Mrt(Machine, II),
+        ResMII(ResMII), FuInstance(FuInstance), Units(Units), Stats(Stats),
+        Mrt(Machine, II),
         Bounds(MinDist, Reach, Body.startOp(), Body.stopOp(), II, ResMII,
                StopPad, Times) {}
 
@@ -106,7 +104,6 @@ private:
   const int ResMII;
   const std::vector<int> &FuInstance;
   const UnitInstances &Units;
-  const std::vector<bool> &OnRecurrence;
   ScheduleStats &Stats;
 
   ModuloResourceTable Mrt;
@@ -138,7 +135,7 @@ bool AttemptScheduler::run(std::vector<int> &TimesOut) {
   SlackDivisor.assign(static_cast<size_t>(N), 1);
   for (int X = 0; X < N; ++X) {
     const size_t I = static_cast<size_t>(X);
-    Tier[I] = Options.RecurrencesFirst && !OnRecurrence[I];
+    Tier[I] = Options.RecurrencesFirst && !Graph.onRecurrence(X);
     if (Options.HalveCriticalSlack && ResMII > 1 && Critical[I])
       SlackDivisor[I] *= 2;
     if (Options.HalveDividerSlack && isDividerOp(Body.op(X).Opc))
@@ -458,7 +455,6 @@ Schedule lsms::scheduleLoop(const DepGraph &Graph,
       assignFunctionalUnits(Graph.body(), Graph.machine());
   const UnitInstances Units =
       groupByInstance(Graph.body(), Graph.machine(), FuInstance);
-  const SccInfo Sccs = computeSccs(Graph);
 
   const int MaxII = Options.IICap.maxII(Result.MII);
 
@@ -480,8 +476,8 @@ Schedule lsms::scheduleLoop(const DepGraph &Graph,
     }
 
     AttemptScheduler Attempt(Graph, Options, MinDist, Reach, II,
-                             Result.ResMII, FuInstance, Units,
-                             Sccs.OnRecurrence, Result.Stats, StopPad);
+                             Result.ResMII, FuInstance, Units, Result.Stats,
+                             StopPad);
     if (Attempt.run(Result.Times)) {
       Result.Success = true;
       Result.Stats.EjectionsLastAttempt =

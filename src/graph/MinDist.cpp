@@ -1,7 +1,5 @@
 #include "graph/MinDist.h"
 
-#include "graph/Scc.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -9,94 +7,23 @@ using namespace lsms;
 
 void MinDistMatrix::buildStructure(const DepGraph &Graph) {
   N = Graph.numOps();
-  const SccInfo Sccs = computeSccs(Graph);
-  NumComps = Sccs.NumComponents;
-  Comp = Sccs.Component;
-
-  // Members per component, ascending op ids (counting sort keeps the
-  // within-component order deterministic).
-  MemberStart.assign(static_cast<size_t>(NumComps) + 1, 0);
-  for (int Op = 0; Op < N; ++Op)
-    ++MemberStart[static_cast<size_t>(Comp[static_cast<size_t>(Op)]) + 1];
-  for (int C = 0; C < NumComps; ++C)
-    MemberStart[static_cast<size_t>(C) + 1] +=
-        MemberStart[static_cast<size_t>(C)];
-  MemberList.assign(static_cast<size_t>(N), 0);
-  LocalIndex.assign(static_cast<size_t>(N), 0);
-  {
-    std::vector<int> Fill(MemberStart.begin(), MemberStart.end() - 1);
-    for (int Op = 0; Op < N; ++Op) {
-      const int C = Comp[static_cast<size_t>(Op)];
-      const int Pos = Fill[static_cast<size_t>(C)]++;
-      MemberList[static_cast<size_t>(Pos)] = Op;
-      LocalIndex[static_cast<size_t>(Op)] =
-          Pos - MemberStart[static_cast<size_t>(C)];
-    }
-  }
-
-  // Arc buckets: intra arcs by component, cross arcs by destination
-  // component, each in arc-id order.
   const std::vector<DepArc> &Arcs = Graph.arcs();
-  const int M = static_cast<int>(Arcs.size());
-  IntraStart.assign(static_cast<size_t>(NumComps) + 1, 0);
-  CrossStart.assign(static_cast<size_t>(NumComps) + 1, 0);
   OmegaArcs.clear();
-  for (int I = 0; I < M; ++I) {
-    const DepArc &Arc = Arcs[static_cast<size_t>(I)];
-    const int CS = Comp[static_cast<size_t>(Arc.Src)];
-    const int CD = Comp[static_cast<size_t>(Arc.Dst)];
-    if (CS == CD)
-      ++IntraStart[static_cast<size_t>(CD) + 1];
-    else
-      ++CrossStart[static_cast<size_t>(CD) + 1];
-    if (Arc.Omega > 0)
-      OmegaArcs.push_back(I);
-  }
-  for (int C = 0; C < NumComps; ++C) {
-    IntraStart[static_cast<size_t>(C) + 1] +=
-        IntraStart[static_cast<size_t>(C)];
-    CrossStart[static_cast<size_t>(C) + 1] +=
-        CrossStart[static_cast<size_t>(C)];
-  }
-  IntraArcs.assign(IntraStart.back(), 0);
-  CrossArcs.assign(CrossStart.back(), 0);
-  {
-    std::vector<int> IntraFill(IntraStart.begin(), IntraStart.end() - 1);
-    std::vector<int> CrossFill(CrossStart.begin(), CrossStart.end() - 1);
-    for (int I = 0; I < M; ++I) {
-      const DepArc &Arc = Arcs[static_cast<size_t>(I)];
-      const int CS = Comp[static_cast<size_t>(Arc.Src)];
-      const int CD = Comp[static_cast<size_t>(Arc.Dst)];
-      if (CS == CD)
-        IntraArcs[static_cast<size_t>(IntraFill[static_cast<size_t>(CD)]++)] =
-            I;
-      else
-        CrossArcs[static_cast<size_t>(CrossFill[static_cast<size_t>(CD)]++)] =
-            I;
-    }
-  }
+  for (size_t I = 0; I < Arcs.size(); ++I)
+    if (Arcs[I].Omega > 0)
+      OmegaArcs.push_back(static_cast<int>(I));
 
   // Components without intra omega arcs have II-independent local
   // closures; reserve a cache slot for every multi-op one so the ladder's
   // later rungs can skip their Floyd-Warshall entirely.
-  IntraOmegaFree.assign(static_cast<size_t>(NumComps), 1);
-  for (int C = 0; C < NumComps; ++C)
-    for (int I = IntraStart[static_cast<size_t>(C)];
-         I < IntraStart[static_cast<size_t>(C) + 1]; ++I)
-      if (Arcs[static_cast<size_t>(IntraArcs[static_cast<size_t>(I)])].Omega >
-          0) {
-        IntraOmegaFree[static_cast<size_t>(C)] = 0;
-        break;
-      }
+  const int NumComps = Graph.numComponents();
   BlockStart.assign(static_cast<size_t>(NumComps) + 1, 0);
   for (int C = 0; C < NumComps; ++C) {
-    const int S = MemberStart[static_cast<size_t>(C) + 1] -
-                  MemberStart[static_cast<size_t>(C)];
-    const size_t Need = (IntraOmegaFree[static_cast<size_t>(C)] && S > 1)
-                            ? static_cast<size_t>(S) * static_cast<size_t>(S)
-                            : 0;
+    const size_t S = Graph.members(C).size();
+    const bool OmegaFree = std::ranges::none_of(
+        Graph.intraArcs(C), [&Graph](int A) { return Graph.arc(A).Omega > 0; });
     BlockStart[static_cast<size_t>(C) + 1] =
-        BlockStart[static_cast<size_t>(C)] + Need;
+        BlockStart[static_cast<size_t>(C)] + (OmegaFree && S > 1 ? S * S : 0);
   }
   BlockCache.assign(BlockStart.back(), NoPath);
   BlocksValid = false;
@@ -152,45 +79,39 @@ bool MinDistMatrix::compute(const DepGraph &Graph, int NewII) {
   // alone is the full intra-component closure. Positive cycles are
   // intra-SCC by definition, so this phase also owns the II < RecMII
   // rejection.
-  for (int C = 0; C < NumComps; ++C) {
-    const int Lo = MemberStart[static_cast<size_t>(C)];
-    const int S = MemberStart[static_cast<size_t>(C) + 1] - Lo;
-    if (S == 1) {
-      const int V = MemberList[static_cast<size_t>(Lo)];
-      for (int I = IntraStart[static_cast<size_t>(C)];
-           I < IntraStart[static_cast<size_t>(C) + 1]; ++I)
-        if (ArcW[static_cast<size_t>(IntraArcs[static_cast<size_t>(I)])] > 0)
+  for (int C = 0; C < Graph.numComponents(); ++C) {
+    const std::span<const int> Members = Graph.members(C);
+    const size_t SS = Members.size();
+    if (SS == 1) {
+      for (int I : Graph.intraArcs(C))
+        if (ArcW[static_cast<size_t>(I)] > 0)
           return false; // positive self-arc cycle
-      Matrix[static_cast<size_t>(V) * NN + static_cast<size_t>(V)] = 0;
+      const size_t V = static_cast<size_t>(Members[0]);
+      Matrix[V * NN + V] = 0;
       continue;
     }
 
-    const size_t SS = static_cast<size_t>(S);
-
     // Intra-omega-free components close to the same block at every II;
-    // reuse the cached closure from an earlier rung when available.
-    const bool Cacheable = IntraOmegaFree[static_cast<size_t>(C)] != 0;
+    // reuse the cached closure from an earlier rung when available. Such
+    // a multi-op component is exactly one with a cache slot.
+    const bool Cacheable = BlockStart[static_cast<size_t>(C) + 1] >
+                           BlockStart[static_cast<size_t>(C)];
     if (Cacheable && BlocksValid) {
       const long *Block = &BlockCache[BlockStart[static_cast<size_t>(C)]];
       for (size_t X = 0; X < SS; ++X) {
-        const int GX = MemberList[static_cast<size_t>(Lo) + X];
-        long *Row = &Matrix[static_cast<size_t>(GX) * NN];
+        long *Row = &Matrix[static_cast<size_t>(Members[X]) * NN];
         for (size_t Y = 0; Y < SS; ++Y)
-          Row[MemberList[static_cast<size_t>(Lo) + Y]] = Block[X * SS + Y];
+          Row[Members[Y]] = Block[X * SS + Y];
       }
       continue;
     }
 
     Local.assign(SS * SS, NoPath);
-    for (int I = IntraStart[static_cast<size_t>(C)];
-         I < IntraStart[static_cast<size_t>(C) + 1]; ++I) {
-      const int ArcIdx = IntraArcs[static_cast<size_t>(I)];
-      const DepArc &Arc = CachedGraph->arc(ArcIdx);
-      long &Cell = Local[static_cast<size_t>(
-                             LocalIndex[static_cast<size_t>(Arc.Src)]) *
-                             SS +
-                         static_cast<size_t>(
-                             LocalIndex[static_cast<size_t>(Arc.Dst)])];
+    for (int ArcIdx : Graph.intraArcs(C)) {
+      const DepArc &Arc = Graph.arc(ArcIdx);
+      long &Cell =
+          Local[static_cast<size_t>(Graph.memberIndex(Arc.Src)) * SS +
+                static_cast<size_t>(Graph.memberIndex(Arc.Dst))];
       Cell = std::max(Cell, ArcW[static_cast<size_t>(ArcIdx)]);
     }
     for (size_t X = 0; X < SS; ++X)
@@ -217,10 +138,9 @@ bool MinDistMatrix::compute(const DepGraph &Graph, int NewII) {
                 BlockCache.begin() +
                     static_cast<long>(BlockStart[static_cast<size_t>(C)]));
     for (size_t X = 0; X < SS; ++X) {
-      const int GX = MemberList[static_cast<size_t>(Lo) + X];
-      long *Row = &Matrix[static_cast<size_t>(GX) * NN];
+      long *Row = &Matrix[static_cast<size_t>(Members[X]) * NN];
       for (size_t Y = 0; Y < SS; ++Y)
-        Row[MemberList[static_cast<size_t>(Lo) + Y]] = Local[X * SS + Y];
+        Row[Members[Y]] = Local[X * SS + Y];
     }
   }
   // Every intra-omega-free block is now closed and cached (either copied
@@ -231,45 +151,37 @@ bool MinDistMatrix::compute(const DepGraph &Graph, int NewII) {
   // numbered in reverse topological order (an arc between components goes
   // from the higher id to the lower), so scanning ids downward from the
   // source's component is one topological DAG pass: by the time component
-  // C is reached, every row entry a cross arc into C can extend is final.
+  // C is reached, every row entry an arc entering C can extend is final.
   // A path into C enters it exactly once, so "best entry value per member,
   // then close through the intra-component matrix" is exact.
   for (int X = 0; X < N; ++X) {
     long *Row = &Matrix[static_cast<size_t>(X) * NN];
-    for (int C = Comp[static_cast<size_t>(X)] - 1; C >= 0; --C) {
-      const int Lo = MemberStart[static_cast<size_t>(C)];
-      const int S = MemberStart[static_cast<size_t>(C) + 1] - Lo;
-      const size_t SS = static_cast<size_t>(S);
+    for (int C = Graph.component(X) - 1; C >= 0; --C) {
+      const std::span<const int> Members = Graph.members(C);
+      const size_t SS = Members.size();
       Gather.assign(SS, NoPath);
       bool Any = false;
-      for (int I = CrossStart[static_cast<size_t>(C)];
-           I < CrossStart[static_cast<size_t>(C) + 1]; ++I) {
-        const int ArcIdx = CrossArcs[static_cast<size_t>(I)];
-        const DepArc &Arc = CachedGraph->arc(ArcIdx);
+      for (int ArcIdx : Graph.enteringArcs(C)) {
+        const DepArc &Arc = Graph.arc(ArcIdx);
         const long DX = Row[Arc.Src];
         if (DX == NoPath)
           continue;
-        long &Cell =
-            Gather[static_cast<size_t>(LocalIndex[static_cast<size_t>(Arc.Dst)])];
+        long &Cell = Gather[static_cast<size_t>(Graph.memberIndex(Arc.Dst))];
         Cell = std::max(Cell, DX + ArcW[static_cast<size_t>(ArcIdx)]);
         Any = true;
       }
       if (!Any)
         continue;
-      if (S == 1) {
-        Row[MemberList[static_cast<size_t>(Lo)]] = Gather[0];
+      if (SS == 1) {
+        Row[Members[0]] = Gather[0];
         continue;
       }
       for (size_t E = 0; E < SS; ++E) {
         const long Entry = Gather[E];
         if (Entry == NoPath)
           continue;
-        const long *Intra =
-            &Matrix[static_cast<size_t>(
-                        MemberList[static_cast<size_t>(Lo) + E]) *
-                    NN];
-        for (size_t Y = 0; Y < SS; ++Y) {
-          const int GY = MemberList[static_cast<size_t>(Lo) + Y];
+        const long *Intra = &Matrix[static_cast<size_t>(Members[E]) * NN];
+        for (const int GY : Members) {
           const long Closed = Intra[GY];
           if (Closed == NoPath)
             continue;
@@ -293,12 +205,6 @@ void MinDistMatrix::estarts(int StartOp, std::vector<long> &Out) const {
   }
 }
 
-std::vector<long> MinDistMatrix::estarts(int StartOp) const {
-  std::vector<long> E;
-  estarts(StartOp, E);
-  return E;
-}
-
 void MinDistMatrix::lstarts(int StopOp, long Cap,
                             std::vector<long> &Out) const {
   Out.assign(static_cast<size_t>(N), Cap);
@@ -308,12 +214,6 @@ void MinDistMatrix::lstarts(int StopOp, long Cap,
     if (D != NoPath)
       Out[static_cast<size_t>(X)] = Cap - D;
   }
-}
-
-std::vector<long> MinDistMatrix::lstarts(int StopOp, long Cap) const {
-  std::vector<long> L;
-  lstarts(StopOp, Cap, L);
-  return L;
 }
 
 void ReachLists::build(const MinDistMatrix &MinDist) {

@@ -11,15 +11,15 @@
 /// entirely inside strongly connected components, so max-plus
 /// Floyd-Warshall only runs inside each recurrence component and
 /// cross-component distances propagate with a single topological-order
-/// pass over the condensation DAG. The SCC structure and arc buckets are
-/// II-independent and cached across calls on the same graph, so the
-/// II=MII, MII+1, ... retry loops of the schedulers only refresh the
-/// omega-carrying arc weights per candidate II. Two further delta-update
-/// layers serve the II ladder: a graph without omega arcs has an
-/// II-independent relation, so a repeat compute() on it returns the
-/// previous matrix outright; and components whose intra arcs are all
-/// omega-free keep their closed local blocks across rungs, so only
-/// omega-carrying recurrences re-run Floyd-Warshall.
+/// pass over the condensation DAG, which the DepGraph holds. The matrix
+/// caches what the II=MII, MII+1, ... retry loops of the schedulers need
+/// across calls on the same graph: the omega-carrying arcs, the only arc
+/// weights refreshed per candidate II. Two further delta-update layers
+/// serve the II ladder: a graph without omega arcs has an II-independent
+/// relation, so a repeat compute() on it returns the previous matrix
+/// outright; and components whose intra arcs are all omega-free keep their
+/// closed local blocks across rungs, so only omega-carrying recurrences
+/// re-run Floyd-Warshall.
 ///
 /// ReachLists holds the same relation sparsely, for one II: per operation,
 /// the operations it reaches and those that reach it. Only a minority of
@@ -47,7 +47,7 @@ public:
 
   /// Computes the relation; returns false (leaving the matrix unusable)
   /// when II admits a positive cycle, i.e. II < RecMII. SCC-decomposed;
-  /// reuses the cached condensation when \p Graph is the one from the
+  /// reuses the cached ladder state when \p Graph is the one from the
   /// previous call.
   bool compute(const DepGraph &Graph, int II);
 
@@ -68,13 +68,11 @@ public:
   /// form reuses \p Out's storage; hot callers should hold one buffer and
   /// pass it to every query.
   void estarts(int StartOp, std::vector<long> &Out) const;
-  std::vector<long> estarts(int StartOp) const;
 
   /// Static Lstart of every operation when \p StopOp must issue no later
   /// than \p Cap: Cap - MinDist(x, StopOp); operations with no path to
   /// Stop get Cap itself.
   void lstarts(int StopOp, long Cap, std::vector<long> &Out) const;
-  std::vector<long> lstarts(int StopOp, long Cap) const;
 
 private:
   void buildStructure(const DepGraph &Graph);
@@ -84,24 +82,14 @@ private:
   int II = 0;
   std::vector<long> Matrix;
 
-  // II-independent condensation structure, cached per graph. The cache key
-  // is (graph address, numOps, arc count); dependence graphs are immutable
-  // so a match means the buckets below are still valid.
+  // II-independent ladder state, cached per graph. The cache key is
+  // (graph address, numOps, arc count); dependence graphs are immutable
+  // so a match means the state below is still valid.
   const DepGraph *CachedGraph = nullptr;
   size_t CachedNumArcs = 0;
-  int NumComps = 0;
-  std::vector<int> Comp;        ///< component id per op (reverse topo order)
-  std::vector<int> LocalIndex;  ///< position of each op within its component
-  std::vector<int> MemberStart; ///< CSR offsets into MemberList, per component
-  std::vector<int> MemberList;  ///< ops grouped by component, ascending ids
-  std::vector<int> IntraStart;  ///< CSR offsets into IntraArcs, per component
-  std::vector<int> IntraArcs;   ///< arc ids with both endpoints in the comp
-  std::vector<int> CrossStart;  ///< CSR offsets into CrossArcs, per dst comp
-  std::vector<int> CrossArcs;   ///< arc ids entering the comp from outside
-  std::vector<int> OmegaArcs;   ///< arc ids with omega > 0 (II-dependent)
+  std::vector<int> OmegaArcs; ///< arc ids with omega > 0 (II-dependent)
 
-  std::vector<char> IntraOmegaFree; ///< per component: no intra omega arc
-  std::vector<size_t> BlockStart;   ///< offsets into BlockCache, per component
+  std::vector<size_t> BlockStart; ///< offsets into BlockCache, per component
   std::vector<long> BlockCache; ///< closed Local blocks of intra-omega-free
                                 ///< multi-op components (II-independent)
   bool BlocksValid = false;     ///< BlockCache holds this graph's closures

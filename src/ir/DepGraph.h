@@ -7,6 +7,11 @@
 /// come from the LoopBody; Start/Stop arcs make Estart/Lstart well defined
 /// for every operation (Section 4.1).
 ///
+/// The graph condenses itself once, on construction, into its strongly
+/// connected components. Every circuit lies inside one component, so RecMII
+/// (Section 3.1), the MinDist relation (Section 4.1) and the recurrence
+/// ops of Section 4's priority rule all read the same condensation.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LSMS_IR_DEPGRAPH_H
@@ -15,6 +20,7 @@
 #include "ir/LoopBody.h"
 #include "machine/MachineModel.h"
 
+#include <span>
 #include <vector>
 
 namespace lsms {
@@ -60,14 +66,60 @@ public:
     return Machine.latency(TheBody.op(Op).Opc);
   }
 
+  // -- Strongly connected components. They are numbered in reverse
+  // topological order of the condensation: an arc between two components
+  // goes from the higher id to the lower.
+
+  int numComponents() const {
+    return static_cast<int>(MemberStart.size()) - 1;
+  }
+  /// Component id of \p Op.
+  int component(int Op) const { return Comp[static_cast<size_t>(Op)]; }
+  /// Operations of component \p C, ascending ids.
+  std::span<const int> members(int C) const {
+    return bucket(MemberStart, Members, C);
+  }
+  /// Position of \p Op within members(component(Op)).
+  int memberIndex(int Op) const {
+    return MemberIndex[static_cast<size_t>(Op)];
+  }
+  /// Ids of the arcs with both endpoints in component \p C, ascending.
+  std::span<const int> intraArcs(int C) const {
+    return bucket(ArcStart, CompArcs, 2 * C);
+  }
+  /// Ids of the arcs entering component \p C from another component,
+  /// ascending.
+  std::span<const int> enteringArcs(int C) const {
+    return bucket(ArcStart, CompArcs, 2 * C + 1);
+  }
+  /// True when \p Op lies on a non-trivial recurrence circuit: its
+  /// component has two or more operations (a dependence arc from an
+  /// operation to itself is a trivial circuit, Section 4).
+  bool onRecurrence(int Op) const { return members(component(Op)).size() > 1; }
+
 private:
   void addArc(DepArc Arc);
+  void condense();
+
+  static std::span<const int> bucket(const std::vector<int> &Start,
+                                     const std::vector<int> &Items, int C) {
+    return {Items.data() + Start[static_cast<size_t>(C)],
+            Items.data() + Start[static_cast<size_t>(C) + 1]};
+  }
 
   const LoopBody &TheBody;
   const MachineModel &Machine;
   std::vector<DepArc> Arcs;
   std::vector<std::vector<int>> Adjacency;
   std::vector<std::vector<int>> RevAdjacency;
+
+  // The condensation, as flat CSR buckets: Start[B] .. Start[B + 1]
+  // delimits bucket B. Component C's members are bucket C of Members; its
+  // intra arcs bucket 2C and its entering arcs bucket 2C + 1 of CompArcs.
+  std::vector<int> Comp;        ///< component id per op
+  std::vector<int> MemberIndex; ///< position of each op in its bucket
+  std::vector<int> MemberStart, Members;
+  std::vector<int> ArcStart, CompArcs;
 };
 
 } // namespace lsms

@@ -15,6 +15,7 @@
 #include <istream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -316,7 +317,14 @@ ServiceResponse SchedulingService::handle(const ServiceRequest &ReqIn,
     Metrics.inc("requests_order_bound");
   }
   const LoopBody &Target = Equivariant ? Canon : Body;
-  const DepGraph TargetGraph(Target, Config.Machine);
+  // Only the compute branches read the target's graph, and the exact one
+  // may fall through to the slack one: build it once, on first use.
+  std::optional<DepGraph> TargetGraph;
+  const auto targetGraph = [&]() -> const DepGraph & {
+    if (!TargetGraph)
+      TargetGraph.emplace(Target, Config.Machine);
+    return *TargetGraph;
+  };
 
   // The schedule tiers: the LRU, then the store, whose hit is promoted
   // into the LRU; a computed answer is written through to both.
@@ -366,7 +374,7 @@ ServiceResponse SchedulingService::handle(const ServiceRequest &ReqIn,
     if (!HaveResult && Mode != AdmitMode::CachedOnly && Req.DeadlineMs != 0) {
       if (Req.DeadlineMs > 0)
         EO.Deadline = T0 + std::chrono::milliseconds(Req.DeadlineMs);
-      const ExactResult R = scheduleLoopExact(TargetGraph, EO);
+      const ExactResult R = scheduleLoopExact(targetGraph(), EO);
       Result = cachedSchedule(R.Sched, R.MaxLive, R.Status, R.MaxLiveProven,
                               R.Certificate);
       // Deadline-free outcomes are deterministic under the service's fixed
@@ -400,7 +408,7 @@ ServiceResponse SchedulingService::handle(const ServiceRequest &ReqIn,
       Metrics.inc("store_nearest_hits");
       NearestUsed = true;
     } else {
-      const Schedule S = scheduleLoop(TargetGraph, SO);
+      const Schedule S = scheduleLoop(targetGraph(), SO);
       const long MaxLive =
           S.Success
               ? computePressure(Target, S.Times, S.II, RegClass::RR).MaxLive

@@ -1,11 +1,10 @@
 #include "Circuits.h"
 
-#include "graph/Scc.h"
-
 #include <algorithm>
 #include <cassert>
 #include <climits>
 #include <set>
+#include <span>
 
 using namespace lsms;
 
@@ -24,8 +23,6 @@ public:
   }
 
   void run() {
-    const SccInfo Sccs = computeSccs(Graph);
-
     // Self-loop circuits first (trivial recurrences; they matter for
     // RecMII even though they impose no scheduling constraint beyond it).
     for (const DepArc &Arc : Graph.arcs())
@@ -40,14 +37,10 @@ public:
     }
 
     // Multi-node circuits, one SCC at a time.
-    for (int Comp = 0; Comp < Sccs.NumComponents; ++Comp) {
-      if (Sccs.Size[static_cast<size_t>(Comp)] < 2)
+    for (int Comp = 0; Comp < Graph.numComponents(); ++Comp) {
+      const std::span<const int> Members = Graph.members(Comp);
+      if (Members.size() < 2)
         continue;
-      std::vector<int> Members;
-      for (int Op = 0; Op < Graph.numOps(); ++Op)
-        if (Sccs.Component[static_cast<size_t>(Op)] == Comp)
-          Members.push_back(Op);
-      std::sort(Members.begin(), Members.end());
       for (int Root : Members) {
         if (Out.Truncated)
           return;

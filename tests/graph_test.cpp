@@ -1,14 +1,15 @@
 //===----------------------------------------------------------------------===//
-/// \file Unit tests for SCCs, circuit enumeration, min-ratio RecMII, and
-/// the MinDist relation. The per-component RecMII search is checked
-/// against two references kept here: Johnson's circuit enumeration
-/// (Circuits.h) and the whole-graph Bellman-Ford binary search.
+/// \file Unit tests for the dependence graph's SCC condensation, circuit
+/// enumeration, min-ratio RecMII, and the MinDist relation. Three
+/// references are kept with the tests: the condensation is checked against
+/// a reachability closure, and the per-component RecMII search against
+/// Johnson's circuit enumeration (Circuits.h) and the whole-graph
+/// Bellman-Ford binary search.
 //===----------------------------------------------------------------------===//
 
 #include "Circuits.h"
 #include "graph/MinDist.h"
 #include "graph/MinRatioCycle.h"
-#include "graph/Scc.h"
 #include "ir/IRBuilder.h"
 #include "workloads/Kernels.h"
 #include "workloads/RandomLoop.h"
@@ -17,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <span>
 #include <string>
 
 using namespace lsms;
@@ -108,16 +111,96 @@ LoopBody buildArcLoop(int NumAdds, const std::vector<ArcSpec> &Arcs,
   return Body;
 }
 
+bool strictlyAscending(std::span<const int> Ids) {
+  return std::adjacent_find(Ids.begin(), Ids.end(),
+                            std::greater_equal<int>()) == Ids.end();
+}
+
+/// Checks the graph's condensation against its definition on every loop:
+/// two ops share a component iff each reaches the other, judged by a
+/// reachability closure computed here; every arc between components runs
+/// from the higher id to the lower; the member buckets partition the ops
+/// and the intra and entering buckets partition the arcs by destination
+/// component, each ascending; and an op is on a recurrence iff its
+/// component has two or more ops.
+void expectCondensationHolds(const std::vector<LoopBody> &Loops) {
+  for (const LoopBody &Body : Loops) {
+    SCOPED_TRACE(Body.Name);
+    const DepGraph Graph = makeGraph(Body);
+    const int N = Graph.numOps();
+    const size_t NN = static_cast<size_t>(N);
+
+    // Reaches[x * N + y]: a path of zero or more arcs leads from x to y.
+    std::vector<char> Reaches(NN * NN, 0);
+    std::vector<int> Work;
+    for (int X = 0; X < N; ++X) {
+      char *Row = &Reaches[static_cast<size_t>(X) * NN];
+      Row[X] = 1;
+      Work.assign(1, X);
+      while (!Work.empty()) {
+        const int Y = Work.back();
+        Work.pop_back();
+        for (int A : Graph.succArcs(Y))
+          if (!Row[Graph.arc(A).Dst]) {
+            Row[Graph.arc(A).Dst] = 1;
+            Work.push_back(Graph.arc(A).Dst);
+          }
+      }
+    }
+    for (int X = 0; X < N; ++X)
+      for (int Y = 0; Y < N; ++Y)
+        ASSERT_EQ(Graph.component(X) == Graph.component(Y),
+                  Reaches[static_cast<size_t>(X) * NN +
+                          static_cast<size_t>(Y)] &&
+                      Reaches[static_cast<size_t>(Y) * NN +
+                              static_cast<size_t>(X)])
+            << "ops " << X << " and " << Y;
+
+    for (const DepArc &Arc : Graph.arcs()) {
+      if (Graph.component(Arc.Src) != Graph.component(Arc.Dst)) {
+        ASSERT_GT(Graph.component(Arc.Src), Graph.component(Arc.Dst));
+      }
+    }
+
+    std::vector<int> OpSeen(NN, 0);
+    std::vector<int> ArcSeen(Graph.arcs().size(), 0);
+    for (int C = 0; C < Graph.numComponents(); ++C) {
+      const std::span<const int> Members = Graph.members(C);
+      ASSERT_FALSE(Members.empty());
+      ASSERT_TRUE(strictlyAscending(Members));
+      for (size_t I = 0; I < Members.size(); ++I) {
+        ASSERT_EQ(Graph.component(Members[I]), C);
+        ASSERT_EQ(Graph.memberIndex(Members[I]), static_cast<int>(I));
+        ASSERT_EQ(Graph.onRecurrence(Members[I]), Members.size() >= 2);
+        ++OpSeen[static_cast<size_t>(Members[I])];
+      }
+      ASSERT_TRUE(strictlyAscending(Graph.intraArcs(C)));
+      for (int A : Graph.intraArcs(C)) {
+        ASSERT_EQ(Graph.component(Graph.arc(A).Src), C);
+        ASSERT_EQ(Graph.component(Graph.arc(A).Dst), C);
+        ++ArcSeen[static_cast<size_t>(A)];
+      }
+      ASSERT_TRUE(strictlyAscending(Graph.enteringArcs(C)));
+      for (int A : Graph.enteringArcs(C)) {
+        ASSERT_NE(Graph.component(Graph.arc(A).Src), C);
+        ASSERT_EQ(Graph.component(Graph.arc(A).Dst), C);
+        ++ArcSeen[static_cast<size_t>(A)];
+      }
+    }
+    ASSERT_EQ(OpSeen, std::vector<int>(NN, 1));
+    ASSERT_EQ(ArcSeen, std::vector<int>(Graph.arcs().size(), 1));
+  }
+}
+
 } // namespace
 
 TEST(Scc, SampleLoopHasOneTwoOpComponent) {
   const LoopBody Body = buildSampleLoop();
   const DepGraph Graph = makeGraph(Body);
-  const SccInfo Sccs = computeSccs(Graph);
 
   int OnRec = 0;
   for (const Operation &Op : Body.Ops)
-    if (Sccs.OnRecurrence[static_cast<size_t>(Op.Id)])
+    if (Graph.onRecurrence(Op.Id))
       ++OnRec;
   // Exactly the two mutually recurrent fadds (address self-loops are
   // trivial circuits and do not count).
@@ -127,9 +210,35 @@ TEST(Scc, SampleLoopHasOneTwoOpComponent) {
 TEST(Scc, StraightLineLoopHasNoRecurrences) {
   const LoopBody Body = buildDaxpyLoop();
   const DepGraph Graph = makeGraph(Body);
-  const SccInfo Sccs = computeSccs(Graph);
   for (const Operation &Op : Body.Ops)
-    EXPECT_FALSE(Sccs.OnRecurrence[static_cast<size_t>(Op.Id)]) << Op.Name;
+    EXPECT_FALSE(Graph.onRecurrence(Op.Id)) << Op.Name;
+}
+
+TEST(Scc, CondensationHoldsOnKernels) {
+  const std::vector<LoopBody> Kernels = buildKernelSuite();
+  ASSERT_EQ(Kernels.size(), 43u);
+  expectCondensationHolds(Kernels);
+}
+
+TEST(Scc, CondensationHoldsOnPaperSuite) {
+  const std::vector<LoopBody> Suite = buildFullSuite();
+  ASSERT_EQ(Suite.size(), 1525u);
+  expectCondensationHolds(Suite);
+}
+
+TEST(Scc, CondensationHoldsOnRandomLoops) {
+  std::vector<LoopBody> Loops;
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed)
+    Loops.push_back(generateRandomLoop(Seed));
+  expectCondensationHolds(Loops);
+}
+
+TEST(Scc, CondensationHoldsOnIrregularLoops) {
+  const std::vector<LoopBody> Loops =
+      buildIrregularSuite(/*Count=*/200, /*MaxOps=*/40, /*Seed=*/0x5CC,
+                          /*Jobs=*/1);
+  ASSERT_EQ(Loops.size(), 200u);
+  expectCondensationHolds(Loops);
 }
 
 TEST(Circuits, SampleLoopCircuits) {
@@ -213,9 +322,7 @@ TEST(MinRatioCycle, LargerBoundInALaterComponent) {
   const LoopBody Body = buildArcLoop(
       4, {{0, 1, 1, 0}, {1, 0, 1, 1}, {2, 3, 5, 0}, {3, 2, 5, 1}}, Ops);
   const DepGraph Graph = makeGraph(Body);
-  const SccInfo Sccs = computeSccs(Graph);
-  ASSERT_LT(Sccs.Component[static_cast<size_t>(Ops[0])],
-            Sccs.Component[static_cast<size_t>(Ops[2])]);
+  ASSERT_LT(Graph.component(Ops[0]), Graph.component(Ops[2]));
   EXPECT_EQ(computeRecMIIByRatio(Graph), 10);
   EXPECT_EQ(recMIIWholeGraph(Graph), 10);
 }
@@ -225,9 +332,7 @@ TEST(MinRatioCycle, SmallerBoundInALaterComponent) {
   const LoopBody Body = buildArcLoop(
       4, {{0, 1, 5, 0}, {1, 0, 5, 1}, {2, 3, 1, 0}, {3, 2, 1, 1}}, Ops);
   const DepGraph Graph = makeGraph(Body);
-  const SccInfo Sccs = computeSccs(Graph);
-  ASSERT_LT(Sccs.Component[static_cast<size_t>(Ops[0])],
-            Sccs.Component[static_cast<size_t>(Ops[2])]);
+  ASSERT_LT(Graph.component(Ops[0]), Graph.component(Ops[2]));
   EXPECT_EQ(computeRecMIIByRatio(Graph), 10);
   EXPECT_EQ(recMIIWholeGraph(Graph), 10);
 }
@@ -239,12 +344,8 @@ TEST(MinRatioCycle, OneOpComponentWithOnlySelfArcs) {
   const LoopBody Body = buildArcLoop(
       3, {{0, 1, 1, 0}, {1, 0, 1, 1}, {2, 2, 7, 2}, {2, 2, 3, 1}}, Ops);
   const DepGraph Graph = makeGraph(Body);
-  const SccInfo Sccs = computeSccs(Graph);
-  ASSERT_EQ(Sccs.Size[static_cast<size_t>(
-                Sccs.Component[static_cast<size_t>(Ops[2])])],
-            1);
-  ASSERT_LT(Sccs.Component[static_cast<size_t>(Ops[0])],
-            Sccs.Component[static_cast<size_t>(Ops[2])]);
+  ASSERT_EQ(Graph.members(Graph.component(Ops[2])).size(), 1u);
+  ASSERT_LT(Graph.component(Ops[0]), Graph.component(Ops[2]));
   EXPECT_EQ(computeRecMIIByRatio(Graph), 4);
   EXPECT_EQ(recMIIWholeGraph(Graph), 4);
 }

@@ -4,7 +4,7 @@
 /// closure is unique, so the two must agree entry for entry on every graph
 /// and II -- including below RecMII, where both must reject the positive
 /// cycle. The sweeps deliberately reuse one matrix object across ascending
-/// IIs per graph to exercise the cached-condensation refresh path the
+/// IIs per graph to exercise the cached ladder-state refresh path the
 /// schedulers' II retry loops rely on. The reach lists built from each
 /// matrix must list exactly its connected pairs.
 //===----------------------------------------------------------------------===//
@@ -162,8 +162,8 @@ TEST(MinDistSccTest, RandomLoopReachListsMatchMatrix) {
 }
 
 TEST(MinDistSccTest, CacheSurvivesGraphSwitch) {
-  // One matrix alternating between two different graphs must re-condense
-  // rather than serve the stale structure.
+  // One matrix alternating between different graphs must rebuild its
+  // ladder state rather than serve the stale one.
   const MachineModel Machine = MachineModel::cydra5();
   const std::vector<LoopBody> Suite =
       buildOracleSuite(/*Count=*/4, /*MinOps=*/4, /*MaxOps=*/16,
@@ -181,24 +181,6 @@ TEST(MinDistSccTest, CacheSurvivesGraphSwitch) {
       expectEqualsDense(Fast, Fast.compute(Graph, II), Graph, II,
                         Graph.body().Name);
     }
-  }
-}
-
-TEST(MinDistSccTest, EstartLstartBuffersMatchByValueForms) {
-  const MachineModel Machine = MachineModel::cydra5();
-  const std::vector<LoopBody> Kernels = buildKernelSuite();
-  ASSERT_FALSE(Kernels.empty());
-  const DepGraph Graph(Kernels.front(), Machine);
-  const int MII = computeMII(Graph).MII;
-  MinDistMatrix MinDist;
-  ASSERT_TRUE(MinDist.compute(Graph, MII));
-
-  std::vector<long> Buf;
-  for (int Op = 0; Op < MinDist.numOps(); ++Op) {
-    MinDist.estarts(Op, Buf);
-    EXPECT_EQ(Buf, MinDist.estarts(Op));
-    MinDist.lstarts(Op, /*Cap=*/3 * MII, Buf);
-    EXPECT_EQ(Buf, MinDist.lstarts(Op, 3 * MII));
   }
 }
 

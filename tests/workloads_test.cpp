@@ -7,7 +7,6 @@
 #include "bounds/Bounds.h"
 #include "core/ModuloScheduler.h"
 #include "core/Validate.h"
-#include "graph/Scc.h"
 #include "vliwsim/Execution.h"
 #include "workloads/RandomLoop.h"
 #include "workloads/Suite.h"
@@ -39,10 +38,9 @@ TEST(KernelSuite, ClassMixIsRepresented) {
     if (Body.HasConditional)
       ++Conditionals;
     const DepGraph Graph(Body, machine());
-    const SccInfo Sccs = computeSccs(Graph);
     bool HasRec = false;
-    for (bool B : Sccs.OnRecurrence)
-      HasRec |= B;
+    for (int Op = 0; Op < Graph.numOps(); ++Op)
+      HasRec |= Graph.onRecurrence(Op);
     Recurrences += HasRec ? 1 : 0;
   }
   EXPECT_GE(Conditionals, 4);
