@@ -4,7 +4,8 @@
 /// Shared harness for the scheduling-service benchmarks: a deterministic
 /// request corpus (every suite kernel plus seeded random DSL sources) and
 /// a cold/warm throughput measurement over a SchedulingService, reused by
-/// bench/service_bench and the service section of bench/perf_report.
+/// the service section of bench/perf_report, bench/load_gen, the DSL
+/// round-trip test and perfbench's serve_mix.
 ///
 //===----------------------------------------------------------------------===//
 

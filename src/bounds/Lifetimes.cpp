@@ -112,18 +112,21 @@ long lsms::computeMaxLive(const LoopBody &Body,
 
 long lsms::computeMinLT(const DepGraph &Graph, const MinDistMatrix &MinDist,
                         int ValueId) {
+  // Every flow arc of a value leaves its defining operation.
+  const int Def = Graph.body().value(ValueId).Def;
+  if (Def < 0)
+    return 0;
   const long II = MinDist.initiationInterval();
   long MinLT = 0;
-  bool HasUse = false;
-  for (const DepArc &Arc : Graph.arcs()) {
+  for (const int ArcIdx : Graph.succArcs(Def)) {
+    const DepArc &Arc = Graph.arc(ArcIdx);
     if (Arc.Kind != DepKind::Flow || Arc.Value != ValueId)
       continue;
-    HasUse = true;
     assert(MinDist.connected(Arc.Src, Arc.Dst) && "flow arc implies a path");
     MinLT = std::max(MinLT, static_cast<long>(Arc.Omega) * II +
                                 MinDist.at(Arc.Src, Arc.Dst));
   }
-  return HasUse ? MinLT : 0;
+  return MinLT;
 }
 
 long lsms::computeMinAvg(const DepGraph &Graph,

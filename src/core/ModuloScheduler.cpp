@@ -460,20 +460,23 @@ Schedule lsms::scheduleLoop(const DepGraph &Graph,
 
   int II = Result.MII;
   long StopPad = Options.AcyclicPadStep > 0 ? 0 : -1;
+  // The relation and its reach lists, once per II tried: straight-line
+  // mode's retries at one II share them.
   MinDistMatrix MinDist;
   ReachLists Reach;
+  const auto BuildRelation = [&]() {
+    const auto T0 = Clock::now();
+    const bool Valid = MinDist.compute(Graph, II);
+    assert(Valid && "II below RecMII");
+    (void)Valid;
+    Reach.build(MinDist);
+    Result.Stats.SecondsMinDist += secondsSince(T0);
+  };
+  BuildRelation();
   for (;;) {
     Result.II = II;
     ++Result.Stats.AttemptsTried;
     const long EjectionsBefore = Result.Stats.Ejections;
-    {
-      const auto T0 = Clock::now();
-      const bool Valid = MinDist.compute(Graph, II);
-      assert(Valid && "II below RecMII");
-      (void)Valid;
-      Reach.build(MinDist);
-      Result.Stats.SecondsMinDist += secondsSince(T0);
-    }
 
     AttemptScheduler Attempt(Graph, Options, MinDist, Reach, II,
                              Result.ResMII, FuInstance, Units, Result.Stats,
@@ -499,6 +502,7 @@ Schedule lsms::scheduleLoop(const DepGraph &Graph,
     II += Increment;
     if (II > MaxII)
       break; // report failure with the last II attempted
+    BuildRelation();
   }
 
   Result.Stats.SecondsTotal += secondsSince(TotalT0);

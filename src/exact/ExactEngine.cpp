@@ -193,7 +193,8 @@ ExactStatus runMaxLivePass(const DepGraph &Graph, const MinDistMatrix &MinDist,
   return ExactStatus::Optimal;
 }
 
-/// The fixed-II decision procedure behind solveAtII. \p Ctx carries the
+/// The fixed-II decision procedure behind solveAtII. It computes the
+/// MinDist relation at \p II into \p MinDist; \p Ctx carries the
 /// functional-unit assignment and the incremental SAT ladder across rungs.
 ExactStatus solveAtIIImpl(const DepGraph &Graph, int II,
                           const ExactOptions &Options, MinDistMatrix &MinDist,
@@ -256,28 +257,8 @@ ExactStatus solveAtIIImpl(const DepGraph &Graph, int II,
 ExactStatus lsms::solveAtII(const DepGraph &Graph, int II,
                             const ExactOptions &Options,
                             std::vector<int> &TimesOut,
-                            long &NodesExplored) {
-  MinDistMatrix MinDist;
-  return solveAtII(Graph, II, Options, MinDist, TimesOut, NodesExplored);
-}
-
-ExactStatus lsms::solveAtII(const DepGraph &Graph, int II,
-                            const ExactOptions &Options,
-                            MinDistMatrix &MinDist,
-                            std::vector<int> &TimesOut,
-                            long &NodesExplored) {
-  ExactEngineStats Stats;
-  const ExactStatus St =
-      solveAtII(Graph, II, Options, MinDist, TimesOut, Stats);
-  NodesExplored += Stats.primary(Options.Engine);
-  return St;
-}
-
-ExactStatus lsms::solveAtII(const DepGraph &Graph, int II,
-                            const ExactOptions &Options,
-                            MinDistMatrix &MinDist,
-                            std::vector<int> &TimesOut,
                             ExactEngineStats &Stats) {
+  MinDistMatrix MinDist;
   LadderContext Ctx(Graph); // one-shot: same verdicts, no reuse
   return solveAtIIImpl(Graph, II, Options, MinDist, TimesOut, Stats, Ctx);
 }
@@ -295,11 +276,11 @@ ExactResult lsms::scheduleLoopExact(const DepGraph &Graph,
   bool LowerProven = true;
   bool AnyTimeout = false;
   bool Found = false;
-  // One matrix across the II ladder: the SCC condensation is II-independent
-  // and stays cached, so each attempt only refreshes omega-arc weights. The
-  // context likewise persists the functional-unit assignment and the
-  // incremental SAT ladder, so SAT rungs share one clause core and keep
-  // every learned clause.
+  // Each rung recomputes the MinDist relation into one matrix, which keeps
+  // the relation at the II the search stops on: MinAvg (and the MaxLive
+  // pass) read it there. The context persists the functional-unit
+  // assignment and the incremental SAT ladder, so SAT rungs share one
+  // clause core and keep every learned clause.
   MinDistMatrix MinDist;
   LadderContext Ctx(Graph);
   for (int II = Sched.MII; II <= MaxII; ++II) {
@@ -361,12 +342,6 @@ ExactResult lsms::scheduleLoopExact(const DepGraph &Graph,
 MaxLiveOutcome lsms::minimizeMaxLiveAtII(const DepGraph &Graph, int II,
                                          const ExactOptions &Options) {
   MinDistMatrix MinDist;
-  return minimizeMaxLiveAtII(Graph, II, Options, MinDist);
-}
-
-MaxLiveOutcome lsms::minimizeMaxLiveAtII(const DepGraph &Graph, int II,
-                                         const ExactOptions &Options,
-                                         MinDistMatrix &MinDist) {
   MaxLiveOutcome Out;
   std::vector<int> Times;
   LadderContext Ctx(Graph);

@@ -278,34 +278,14 @@ struct MaxLiveOutcome {
 MaxLiveOutcome minimizeMaxLiveAtII(const DepGraph &Graph, int II,
                                    const ExactOptions &Options);
 
-/// As above with a caller-provided MinDist matrix (reused across IIs).
-MaxLiveOutcome minimizeMaxLiveAtII(const DepGraph &Graph, int II,
-                                   const ExactOptions &Options,
-                                   MinDistMatrix &MinDist);
-
 /// Decides schedulability of \p Graph at the fixed \p II with the engine
 /// selected by \p Options. Returns Optimal (schedulable; \p TimesOut
 /// filled with a legal schedule), Infeasible (proven unschedulable at this
-/// II), or Timeout. \p NodesExplored is incremented by the engine's
-/// primary effort metric. Deterministic for either engine.
+/// II), or Timeout. Accumulates every engine counter into \p Stats.
+/// Deterministic for either engine.
 ExactStatus solveAtII(const DepGraph &Graph, int II,
                       const ExactOptions &Options, std::vector<int> &TimesOut,
-                      long &NodesExplored);
-
-/// As above, but computes the MinDist relation into the caller-provided
-/// \p MinDist. Callers iterating II upward should pass the same matrix to
-/// every attempt so its cached SCC condensation is reused and only the
-/// omega-carrying arc weights are refreshed per candidate II; on return it
-/// holds the relation at \p II whenever the status is not Infeasible-by-
-/// positive-cycle.
-ExactStatus solveAtII(const DepGraph &Graph, int II,
-                      const ExactOptions &Options, MinDistMatrix &MinDist,
-                      std::vector<int> &TimesOut, long &NodesExplored);
-
-/// Full-detail form: accumulates every engine counter into \p Stats.
-ExactStatus solveAtII(const DepGraph &Graph, int II,
-                      const ExactOptions &Options, MinDistMatrix &MinDist,
-                      std::vector<int> &TimesOut, ExactEngineStats &Stats);
+                      ExactEngineStats &Stats);
 
 /// Finds the provably minimal initiation interval of \p Graph by iterating
 /// solveAtII upward from MII (in steps of 1 — unlike the heuristic's

@@ -1,74 +1,17 @@
 #include "graph/MinDist.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace lsms;
 
-void MinDistMatrix::buildStructure(const DepGraph &Graph) {
-  N = Graph.numOps();
-  const std::vector<DepArc> &Arcs = Graph.arcs();
-  OmegaArcs.clear();
-  for (size_t I = 0; I < Arcs.size(); ++I)
-    if (Arcs[I].Omega > 0)
-      OmegaArcs.push_back(static_cast<int>(I));
-
-  // Components without intra omega arcs have II-independent local
-  // closures; reserve a cache slot for every multi-op one so the ladder's
-  // later rungs can skip their Floyd-Warshall entirely.
-  const int NumComps = Graph.numComponents();
-  BlockStart.assign(static_cast<size_t>(NumComps) + 1, 0);
-  for (int C = 0; C < NumComps; ++C) {
-    const size_t S = Graph.members(C).size();
-    const bool OmegaFree = std::ranges::none_of(
-        Graph.intraArcs(C), [&Graph](int A) { return Graph.arc(A).Omega > 0; });
-    BlockStart[static_cast<size_t>(C) + 1] =
-        BlockStart[static_cast<size_t>(C)] + (OmegaFree && S > 1 ? S * S : 0);
-  }
-  BlockCache.assign(BlockStart.back(), NoPath);
-  BlocksValid = false;
-
-  CachedGraph = &Graph;
-  CachedNumArcs = Arcs.size();
-  WeightsII = -1; // weights belong to the old graph
-  MatrixII = -1;
-}
-
-void MinDistMatrix::refreshWeights(const DepGraph &Graph, int NewII) {
-  const std::vector<DepArc> &Arcs = Graph.arcs();
-  if (WeightsII < 0) {
-    ArcW.assign(Arcs.size(), 0);
-    for (size_t I = 0; I < Arcs.size(); ++I)
-      ArcW[I] = static_cast<long>(Arcs[I].Latency) -
-                static_cast<long>(NewII) * static_cast<long>(Arcs[I].Omega);
-  } else if (WeightsII != NewII) {
-    // Only omega-carrying arcs depend on II.
-    for (int I : OmegaArcs) {
-      const DepArc &Arc = Arcs[static_cast<size_t>(I)];
-      ArcW[static_cast<size_t>(I)] =
-          static_cast<long>(Arc.Latency) -
-          static_cast<long>(NewII) * static_cast<long>(Arc.Omega);
-    }
-  }
-  WeightsII = NewII;
-}
-
 bool MinDistMatrix::compute(const DepGraph &Graph, int NewII) {
-  if (CachedGraph != &Graph || N != Graph.numOps() ||
-      CachedNumArcs != Graph.arcs().size())
-    buildStructure(Graph);
-
-  // Ladder fast path: no omega arcs means no arc weight depends on II, so
-  // a matrix already closed for this graph is the answer at every II.
-  if (MatrixII >= 0 && OmegaArcs.empty()) {
-    II = NewII;
-    WeightsII = NewII;
-    return true;
-  }
-  MatrixII = -1;
-
-  refreshWeights(Graph, NewII);
+  N = Graph.numOps();
   II = NewII;
+  const std::vector<DepArc> &Arcs = Graph.arcs();
+  ArcW.resize(Arcs.size());
+  for (size_t I = 0; I < Arcs.size(); ++I)
+    ArcW[I] = static_cast<long>(Arcs[I].Latency) -
+              static_cast<long>(II) * static_cast<long>(Arcs[I].Omega);
 
   const size_t NN = static_cast<size_t>(N);
   Matrix.assign(NN * NN, NoPath);
@@ -88,21 +31,6 @@ bool MinDistMatrix::compute(const DepGraph &Graph, int NewII) {
           return false; // positive self-arc cycle
       const size_t V = static_cast<size_t>(Members[0]);
       Matrix[V * NN + V] = 0;
-      continue;
-    }
-
-    // Intra-omega-free components close to the same block at every II;
-    // reuse the cached closure from an earlier rung when available. Such
-    // a multi-op component is exactly one with a cache slot.
-    const bool Cacheable = BlockStart[static_cast<size_t>(C) + 1] >
-                           BlockStart[static_cast<size_t>(C)];
-    if (Cacheable && BlocksValid) {
-      const long *Block = &BlockCache[BlockStart[static_cast<size_t>(C)]];
-      for (size_t X = 0; X < SS; ++X) {
-        long *Row = &Matrix[static_cast<size_t>(Members[X]) * NN];
-        for (size_t Y = 0; Y < SS; ++Y)
-          Row[Members[Y]] = Block[X * SS + Y];
-      }
       continue;
     }
 
@@ -133,19 +61,12 @@ bool MinDistMatrix::compute(const DepGraph &Graph, int NewII) {
     for (size_t X = 0; X < SS; ++X)
       if (Local[X * SS + X] > 0)
         return false; // positive recurrence cycle: II < RecMII
-    if (Cacheable)
-      std::copy(Local.begin(), Local.end(),
-                BlockCache.begin() +
-                    static_cast<long>(BlockStart[static_cast<size_t>(C)]));
     for (size_t X = 0; X < SS; ++X) {
       long *Row = &Matrix[static_cast<size_t>(Members[X]) * NN];
       for (size_t Y = 0; Y < SS; ++Y)
         Row[Members[Y]] = Local[X * SS + Y];
     }
   }
-  // Every intra-omega-free block is now closed and cached (either copied
-  // from the cache or just stored into it); later rungs may reuse them.
-  BlocksValid = true;
 
   // Phase 2: cross-component distances, one row at a time. Components are
   // numbered in reverse topological order (an arc between components goes
@@ -190,7 +111,6 @@ bool MinDistMatrix::compute(const DepGraph &Graph, int NewII) {
       }
     }
   }
-  MatrixII = NewII;
   return true;
 }
 

@@ -11,15 +11,9 @@
 /// entirely inside strongly connected components, so max-plus
 /// Floyd-Warshall only runs inside each recurrence component and
 /// cross-component distances propagate with a single topological-order
-/// pass over the condensation DAG, which the DepGraph holds. The matrix
-/// caches what the II=MII, MII+1, ... retry loops of the schedulers need
-/// across calls on the same graph: the omega-carrying arcs, the only arc
-/// weights refreshed per candidate II. Two further delta-update layers
-/// serve the II ladder: a graph without omega arcs has an II-independent
-/// relation, so a repeat compute() on it returns the previous matrix
-/// outright; and components whose intra arcs are all omega-free keep their
-/// closed local blocks across rungs, so only omega-carrying recurrences
-/// re-run Floyd-Warshall.
+/// pass over the condensation DAG, which the DepGraph holds. The relation
+/// depends on the graph and II alone: each compute() rebuilds it from its
+/// arguments, and the matrix keeps nothing between calls but its buffers.
 ///
 /// ReachLists holds the same relation sparsely, for one II: per operation,
 /// the operations it reaches and those that reach it. Only a minority of
@@ -46,9 +40,7 @@ public:
   static constexpr long NoPath = LONG_MIN / 4;
 
   /// Computes the relation; returns false (leaving the matrix unusable)
-  /// when II admits a positive cycle, i.e. II < RecMII. SCC-decomposed;
-  /// reuses the cached ladder state when \p Graph is the one from the
-  /// previous call.
+  /// when II admits a positive cycle, i.e. II < RecMII. SCC-decomposed.
   bool compute(const DepGraph &Graph, int II);
 
   int initiationInterval() const { return II; }
@@ -75,31 +67,14 @@ public:
   void lstarts(int StopOp, long Cap, std::vector<long> &Out) const;
 
 private:
-  void buildStructure(const DepGraph &Graph);
-  void refreshWeights(const DepGraph &Graph, int NewII);
-
   int N = 0;
   int II = 0;
   std::vector<long> Matrix;
 
-  // II-independent ladder state, cached per graph. The cache key is
-  // (graph address, numOps, arc count); dependence graphs are immutable
-  // so a match means the state below is still valid.
-  const DepGraph *CachedGraph = nullptr;
-  size_t CachedNumArcs = 0;
-  std::vector<int> OmegaArcs; ///< arc ids with omega > 0 (II-dependent)
-
-  std::vector<size_t> BlockStart; ///< offsets into BlockCache, per component
-  std::vector<long> BlockCache; ///< closed Local blocks of intra-omega-free
-                                ///< multi-op components (II-independent)
-  bool BlocksValid = false;     ///< BlockCache holds this graph's closures
-
-  // Per-II state.
-  int WeightsII = -1;           ///< II the arc weights were refreshed for
-  int MatrixII = -1;            ///< II of the last successful compute()
-  std::vector<long> ArcW;       ///< latency - II*omega, per arc id
-  std::vector<long> Local;      ///< per-component Floyd-Warshall scratch
-  std::vector<long> Gather;     ///< per-component entry-value scratch
+  // Scratch, rewritten by every compute().
+  std::vector<long> ArcW;   ///< latency - II*omega, per arc id
+  std::vector<long> Local;  ///< per-component Floyd-Warshall scratch
+  std::vector<long> Gather; ///< per-component entry-value scratch
 };
 
 /// The connected pairs of one MinDistMatrix, as adjacency lists: for every

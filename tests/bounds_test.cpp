@@ -7,8 +7,11 @@
 #include "bounds/Lifetimes.h"
 #include "ir/IRBuilder.h"
 #include "workloads/Kernels.h"
+#include "workloads/Suite.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace lsms;
 
@@ -17,6 +20,33 @@ namespace {
 const MachineModel &machine() {
   static MachineModel M = MachineModel::cydra5();
   return M;
+}
+
+/// Reference MinLT: the Section 5.1 definition read off every arc of the
+/// graph, not only those leaving the value's defining operation.
+long allArcsMinLT(const DepGraph &Graph, const MinDistMatrix &MinDist,
+                  int ValueId) {
+  const long II = MinDist.initiationInterval();
+  long MinLT = 0;
+  for (const DepArc &Arc : Graph.arcs())
+    if (Arc.Kind == DepKind::Flow && Arc.Value == ValueId)
+      MinLT = std::max(MinLT, static_cast<long>(Arc.Omega) * II +
+                                  MinDist.at(Arc.Src, Arc.Dst));
+  return MinLT;
+}
+
+/// computeMinLT equals the all-arcs reference for every value of \p Body
+/// at II = MII, MII + 1 and MII + 2.
+void expectMinLTMatchesAllArcs(const LoopBody &Body) {
+  const DepGraph Graph(Body, machine());
+  const int MII = computeMII(Graph).MII;
+  MinDistMatrix M;
+  for (int II = MII; II <= MII + 2; ++II) {
+    ASSERT_TRUE(M.compute(Graph, II)) << Body.Name << " II=" << II;
+    for (const Value &V : Body.Values)
+      ASSERT_EQ(computeMinLT(Graph, M, V.Id), allArcsMinLT(Graph, M, V.Id))
+          << Body.Name << " II=" << II << " value " << V.Name;
+  }
 }
 
 } // namespace
@@ -174,6 +204,17 @@ TEST(Lifetimes, MinLTLowerBoundsActualLifetime) {
               computeMinLT(Graph, M, V.Id))
         << V.Name;
   }
+}
+
+TEST(Lifetimes, MinLTMatchesAllArcsReference) {
+  for (const LoopBody &Body : buildKernelSuite())
+    expectMinLTMatchesAllArcs(Body);
+  const std::vector<LoopBody> Oracle =
+      buildOracleSuite(/*Count=*/200, /*MinOps=*/3, /*MaxOps=*/20,
+                       /*Seed=*/0xD1FF, /*Jobs=*/1);
+  ASSERT_EQ(Oracle.size(), 200u);
+  for (const LoopBody &Body : Oracle)
+    expectMinLTMatchesAllArcs(Body);
 }
 
 TEST(Lifetimes, MinAvgCountsOnlyRRValues) {

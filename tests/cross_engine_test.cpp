@@ -30,10 +30,8 @@ ExactStatus runEngine(const DepGraph &Graph, int II, ExactEngineKind Engine,
                       std::vector<int> &Times) {
   ExactOptions Options;
   Options.Engine = Engine;
-  MinDistMatrix MinDist;
   ExactEngineStats Stats;
-  const ExactStatus St =
-      solveAtII(Graph, II, Options, MinDist, Times, Stats);
+  const ExactStatus St = solveAtII(Graph, II, Options, Times, Stats);
   if (St == ExactStatus::Optimal) {
     Schedule Sched;
     Sched.Success = true;

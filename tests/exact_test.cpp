@@ -70,14 +70,14 @@ TEST(ExactScheduler, SolveAtIIProducesValidatableSchedule) {
   ASSERT_TRUE(Heur.Success);
 
   Schedule Sched;
-  long Nodes = 0;
+  ExactEngineStats Stats;
   const ExactStatus St =
-      solveAtII(Graph, Heur.II, ExactOptions(), Sched.Times, Nodes);
+      solveAtII(Graph, Heur.II, ExactOptions(), Sched.Times, Stats);
   ASSERT_EQ(St, ExactStatus::Optimal);
   Sched.Success = true;
   Sched.II = Heur.II;
   EXPECT_EQ(validateSchedule(Graph, Sched), "");
-  EXPECT_GT(Nodes, 0);
+  EXPECT_GT(Stats.Nodes, 0);
 }
 
 TEST(ExactScheduler, InfeasibleBelowRecMII) {
@@ -86,8 +86,8 @@ TEST(ExactScheduler, InfeasibleBelowRecMII) {
   const Schedule Heur = scheduleLoop(Graph);
   ASSERT_GT(Heur.RecMII, 1);
   std::vector<int> Times;
-  long Nodes = 0;
-  EXPECT_EQ(solveAtII(Graph, Heur.RecMII - 1, ExactOptions(), Times, Nodes),
+  ExactEngineStats Stats;
+  EXPECT_EQ(solveAtII(Graph, Heur.RecMII - 1, ExactOptions(), Times, Stats),
             ExactStatus::Infeasible);
 }
 
@@ -101,10 +101,10 @@ TEST(ExactScheduler, ProvesResourceInfeasibilityBelowResMII) {
   ASSERT_EQ(Heur.RecMII, 1);
   ASSERT_GT(Heur.ResMII, 1);
   std::vector<int> Times;
-  long Nodes = 0;
-  EXPECT_EQ(solveAtII(Graph, 1, ExactOptions(), Times, Nodes),
+  ExactEngineStats Stats;
+  EXPECT_EQ(solveAtII(Graph, 1, ExactOptions(), Times, Stats),
             ExactStatus::Infeasible);
-  EXPECT_GT(Nodes, 0);
+  EXPECT_GT(Stats.Nodes, 0);
 }
 
 TEST(ExactScheduler, ZeroNodeBudgetReportsTimeout) {

@@ -3,9 +3,10 @@
 /// a dense Floyd-Warshall reference kept here. The max-plus transitive
 /// closure is unique, so the two must agree entry for entry on every graph
 /// and II -- including below RecMII, where both must reject the positive
-/// cycle. The sweeps deliberately reuse one matrix object across ascending
-/// IIs per graph to exercise the cached ladder-state refresh path the
-/// schedulers' II retry loops rely on. The reach lists built from each
+/// cycle. The sweeps reuse one matrix object across ascending IIs per
+/// graph, as the II retry loops do, and the reuse tests move one matrix
+/// between graphs: the relation depends on the graph and II alone, never
+/// on what the matrix computed before. The reach lists built from each
 /// matrix must list exactly its connected pairs.
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -75,10 +77,10 @@ void expectEqualsDense(const MinDistMatrix &Fast, bool FastOk,
           << Name << " II=" << II << " MinDist(" << X << "," << Y << ")";
 }
 
-/// Compares the cached-path closure against the dense reference for every
-/// II in [max(1, MII-1), MII+3]. Starting below MII exercises return-value
-/// parity on positive-cycle rejection; the shared \p Fast matrix across the
-/// ascending IIs exercises the omega-only weight refresh.
+/// Compares the SCC closure against the dense reference for every II in
+/// [max(1, MII-1), MII+3]. Starting below MII exercises return-value parity
+/// on positive-cycle rejection; one \p Fast matrix serves every II, as it
+/// does on a retry ladder.
 void expectMatchesDense(const LoopBody &Body, const MachineModel &Machine) {
   const DepGraph Graph(Body, Machine);
   const MIIBounds Bounds = computeMII(Graph);
@@ -162,8 +164,8 @@ TEST(MinDistSccTest, RandomLoopReachListsMatchMatrix) {
 }
 
 TEST(MinDistSccTest, CacheSurvivesGraphSwitch) {
-  // One matrix alternating between different graphs must rebuild its
-  // ladder state rather than serve the stale one.
+  // One matrix alternating between different graphs, at different IIs,
+  // must give each graph its own relation.
   const MachineModel Machine = MachineModel::cydra5();
   const std::vector<LoopBody> Suite =
       buildOracleSuite(/*Count=*/4, /*MinOps=*/4, /*MaxOps=*/16,
@@ -182,6 +184,51 @@ TEST(MinDistSccTest, CacheSurvivesGraphSwitch) {
                         Graph.body().Name);
     }
   }
+}
+
+TEST(MinDistSccTest, MatrixReusedForGraphRebuiltInPlace) {
+  // A graph rebuilt in the same storage, with the same op and arc counts,
+  // is still another graph: recomputing at the same II must give the new
+  // graph's relation, not the old one's.
+  const MachineModel Machine = MachineModel::cydra5();
+  const std::vector<LoopBody> Suite =
+      buildOracleSuite(/*Count=*/40, /*MinOps=*/4, /*MaxOps=*/16,
+                       /*Seed=*/0xCAFE, /*Jobs=*/1);
+  ASSERT_EQ(Suite.size(), 40u);
+  std::vector<size_t> NumArcs;
+  std::vector<int> MIIs;
+  for (const LoopBody &Body : Suite) {
+    const DepGraph Graph(Body, Machine);
+    NumArcs.push_back(Graph.arcs().size());
+    MIIs.push_back(computeMII(Graph).MII);
+  }
+
+  // The first pair of equal size whose relations differ at a common II.
+  size_t First = 0, Second = 0;
+  int II = 0;
+  for (size_t A = 0; A < Suite.size() && Second == 0; ++A)
+    for (size_t B = A + 1; B < Suite.size() && Second == 0; ++B) {
+      if (Suite[A].numOps() != Suite[B].numOps() || NumArcs[A] != NumArcs[B])
+        continue;
+      const int Common = std::max(MIIs[A], MIIs[B]);
+      std::vector<long> DenseA, DenseB;
+      ASSERT_TRUE(denseMinDist(DepGraph(Suite[A], Machine), Common, DenseA));
+      ASSERT_TRUE(denseMinDist(DepGraph(Suite[B], Machine), Common, DenseB));
+      if (DenseA != DenseB) {
+        First = A;
+        Second = B;
+        II = Common;
+      }
+    }
+  ASSERT_NE(Second, 0u) << "no equal-size pair with different relations";
+
+  std::optional<DepGraph> Graph;
+  MinDistMatrix Fast;
+  Graph.emplace(Suite[First], Machine);
+  ASSERT_TRUE(Fast.compute(*Graph, II));
+  Graph.emplace(Suite[Second], Machine);
+  expectEqualsDense(Fast, Fast.compute(*Graph, II), *Graph, II,
+                    Suite[Second].Name);
 }
 
 } // namespace
