@@ -74,6 +74,7 @@ private:
   std::vector<int> SBase; ///< selector base var per placeable slot
 
   std::vector<int> Pe; ///< decoded PE per slot (-1 when not placeable)
+  std::vector<Lit> ClauseBuf; ///< at-least-one, pick-one and cut clauses
 };
 
 bool CgraSatAttempt::encode() {
@@ -90,10 +91,10 @@ bool CgraSatAttempt::encode() {
 
   // Exactly one residue per operation.
   for (size_t S = 0; S < Real.size(); ++S) {
-    std::vector<Lit> AtLeastOne;
+    ClauseBuf.clear();
     for (int R = 0; R < II; ++R)
-      AtLeastOne.push_back(rVar(S, R));
-    Solver.addClause(AtLeastOne);
+      ClauseBuf.push_back(rVar(S, R));
+    Solver.addClause(ClauseBuf);
     for (int A = 0; A < II; ++A)
       for (int B = A + 1; B < II; ++B)
         Solver.addClause({~rVar(S, A), ~rVar(S, B)});
@@ -105,11 +106,10 @@ bool CgraSatAttempt::encode() {
       continue;
     const int A = static_cast<int>(Allowed[S].size());
     for (int R = 0; R < II; ++R) {
-      std::vector<Lit> PickOne;
-      PickOne.push_back(~rVar(S, R));
+      ClauseBuf.assign(1, ~rVar(S, R));
       for (int K = 0; K < A; ++K)
-        PickOne.push_back(sVar(S, R, K));
-      Solver.addClause(PickOne);
+        ClauseBuf.push_back(sVar(S, R, K));
+      Solver.addClause(ClauseBuf);
       for (int K = 0; K < A; ++K)
         Solver.addClause({~sVar(S, R, K), rVar(S, R)});
       for (int K1 = 0; K1 < A; ++K1)
@@ -226,13 +226,14 @@ bool CgraSatAttempt::routeCut(std::vector<Lit> &Cut) const {
     return true;
 
   Cut.clear();
+  std::vector<char> Seen(static_cast<size_t>(Cgra.numPes()));
   for (size_t SX = 0; SX < Real.size(); ++SX) {
     const int X = Real[SX];
     if (Pe[SX] != OverPe ||
         (Rho[SX] + Graph.latency(X)) % II != OverR)
       continue;
     // One witness consumer per distinct destination PE of this producer.
-    std::vector<char> Seen(static_cast<size_t>(Cgra.numPes()), 0);
+    std::fill(Seen.begin(), Seen.end(), 0);
     bool Sends = false;
     for (const int ArcId : Graph.succArcs(X)) {
       const DepArc &Arc = Graph.arc(ArcId);
@@ -308,7 +309,7 @@ CgraSatStatus CgraSatAttempt::run(long ConflictBudget,
                       static_cast<long>(Arc.Latency) + Hop -
                           static_cast<long>(Arc.Omega) * II);
     }
-    std::vector<Lit> Cut;
+    ClauseBuf.clear();
     if (!Closure.close()) {
       // Every slot on the cycle keeps its (residue, PE) choice only if at
       // least one of them moves: hop overlays, like the tightened MinDist
@@ -317,12 +318,12 @@ CgraSatStatus CgraSatAttempt::run(long ConflictBudget,
         if (!Closure.onCycle(U))
           continue;
         if (placeable(U))
-          Cut.push_back(~sVar(U, Rho[U],
-                              PeIndex[U][static_cast<size_t>(Pe[U])]));
+          ClauseBuf.push_back(~sVar(U, Rho[U],
+                                    PeIndex[U][static_cast<size_t>(Pe[U])]));
         else
-          Cut.push_back(~rVar(U, Rho[U]));
+          ClauseBuf.push_back(~rVar(U, Rho[U]));
       }
-    } else if (routeCut(Cut)) {
+    } else if (routeCut(ClauseBuf)) {
       Closure.decode(TimesOut);
       PesOut.assign(static_cast<size_t>(Graph.numOps()), -1);
       for (size_t S = 0; S < Real.size(); ++S)
@@ -330,7 +331,7 @@ CgraSatStatus CgraSatAttempt::run(long ConflictBudget,
       Status = CgraSatStatus::Mapped;
       break;
     }
-    Solver.addClause(Cut);
+    Solver.addClause(ClauseBuf);
     ++Stats.Refinements;
   }
   Delta.addTo(Stats);

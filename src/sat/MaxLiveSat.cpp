@@ -39,18 +39,6 @@ private:
     return 0;
   }
 
-  /// Adds "if all of \p Pre hold then t_x <= T" with constant folding.
-  /// Returns false when the clause is constant-false (root conflict).
-  void addOrderClause(std::vector<Lit> Pre, size_t S, long T) {
-    Lit L;
-    const int C = orderLit(S, T, L);
-    if (C > 0)
-      return; // consequent constant true
-    if (C == 0)
-      Pre.push_back(L);
-    Solver.addClause(std::move(Pre)); // empty/unsat handled by the solver
-  }
-
   void buildWindows();
   void encodeChainsAndDirects();
   void encodeDependences();
@@ -133,16 +121,18 @@ void MaxLiveEncoder::encodeChainsAndDirects() {
       const int CT = orderLit(S, T, OT);     // t_x <= T
       const int CP = orderLit(S, T - 1, OP); // t_x <= T-1
       assert(CT >= 0 && CP <= 0 && "window bounds violated");
-      std::vector<Lit> Def{D};
+      Lit Def[3] = {D};
+      size_t N = 1;
       if (CT == 0) {
         Solver.addClause({~D, OT});
-        Def.push_back(~OT);
+        Def[N++] = ~OT;
       }
       if (CP == 0) {
         Solver.addClause({~D, ~OP});
-        Def.push_back(OP);
+        Def[N++] = OP;
       }
-      Solver.addClause(std::move(Def)); // D | !(t<=T) | (t<=T-1)
+      // D | !(t<=T) | (t<=T-1)
+      Solver.addClause(std::span<const Lit>(Def, N));
     }
   }
 }
@@ -161,14 +151,21 @@ void MaxLiveEncoder::encodeDependences() {
       const long C = MinDist.at(X, Y);
       for (long T = Estart[static_cast<size_t>(Y)];
            T <= Lstart[static_cast<size_t>(Y)]; ++T) {
-        Lit OY;
+        Lit OY, OX;
         const int CY = orderLit(SY, T, OY);
         if (CY < 0)
           continue; // antecedent constant false
-        std::vector<Lit> Pre;
+        const int CX = orderLit(SX, T - C, OX);
+        if (CX > 0)
+          continue; // consequent constant true
+        Lit Clause[2];
+        size_t N = 0;
         if (CY == 0)
-          Pre.push_back(~OY);
-        addOrderClause(std::move(Pre), SX, T - C);
+          Clause[N++] = ~OY;
+        if (CX == 0)
+          Clause[N++] = OX;
+        // An empty clause is a root conflict; the solver records it.
+        Solver.addClause(std::span<const Lit>(Clause, N));
       }
     }
   }
@@ -258,20 +255,21 @@ void MaxLiveEncoder::encodeLiveness() {
       const long UseEndMax =
           Lstart[static_cast<size_t>(User)] + static_cast<long>(Omega) * II;
       for (long Tau = Span.Lo; Tau < UseEndMax; ++Tau) {
-        std::vector<Lit> Clause;
+        Lit Clause[3];
+        size_t N = 0;
         Lit OD, OU;
         const int CD = orderLit(SD, Tau, OD); // def issued by tau
         if (CD < 0)
           continue; // def cannot have issued yet: not live through v's def
         if (CD == 0)
-          Clause.push_back(~OD);
+          Clause[N++] = ~OD;
         const int CU = orderLit(SU, Tau - static_cast<long>(Omega) * II, OU);
         if (CU > 0)
           continue; // use surely over by tau: clause satisfied
         if (CU == 0)
-          Clause.push_back(OU);
-        Clause.push_back(mkLit(Span.BBase + static_cast<int>(Tau - Span.Lo)));
-        Solver.addClause(std::move(Clause));
+          Clause[N++] = OU;
+        Clause[N++] = mkLit(Span.BBase + static_cast<int>(Tau - Span.Lo));
+        Solver.addClause(std::span<const Lit>(Clause, N));
       }
     }
   }
@@ -313,7 +311,7 @@ void MaxLiveEncoder::encodeCounters(long Width) {
                             ~mkLit(Prev[static_cast<size_t>(J - 2)]),
                             mkLit(Cur[static_cast<size_t>(J - 1)])});
       }
-      Prev = Cur;
+      std::swap(Prev, Cur);
     }
     CapVar[static_cast<size_t>(Col)] = Prev; // outputs of the last stage
   }

@@ -33,12 +33,10 @@ void SatIILadder::encodeRung(Lit Guard, const MinDistMatrix &MinDist) {
 
   // At-least-one over [0, II) — II-dependent, so guarded.
   for (size_t S = 0; S < Real.size(); ++S) {
-    std::vector<Lit> AtLeastOne;
-    AtLeastOne.reserve(static_cast<size_t>(II) + 1);
-    AtLeastOne.push_back(Guard);
+    ClauseBuf.assign(1, Guard);
     for (int R = 0; R < II; ++R)
-      AtLeastOne.push_back(placedAt(static_cast<int>(S), R));
-    Solver.addClause(AtLeastOne);
+      ClauseBuf.push_back(placedAt(static_cast<int>(S), R));
+    Solver.addClause(ClauseBuf);
   }
 
   // Modulo-resource conflicts are pairwise over operations sharing a
@@ -123,11 +121,11 @@ SatScheduleStatus SatIILadder::solveAtII(const MinDistMatrix &MinDist,
     }
     // Block the cycle's strongly connected residues; the cut's weights
     // are this rung's, so it carries the rung guard.
-    std::vector<Lit> Cut{ActiveGuard};
+    ClauseBuf.assign(1, ActiveGuard);
     for (size_t U = 0; U < Closure.Ops.Real.size(); ++U)
       if (Closure.onCycle(U))
-        Cut.push_back(~placedAt(static_cast<int>(U), Closure.Rho[U]));
-    Solver.addClause(Cut);
+        ClauseBuf.push_back(~placedAt(static_cast<int>(U), Closure.Rho[U]));
+    Solver.addClause(ClauseBuf);
     ++Stats.Refinements;
   }
 

@@ -96,6 +96,7 @@ private:
   std::vector<int> ColBase; ///< residue column -> base variable index
   Lit ActiveGuard{};        ///< current rung's activation literal
   int LastII = 0;
+  std::vector<Lit> ClauseBuf; ///< at-least-one clauses and cycle cuts
 };
 
 /// Decides schedulability of \p Graph at the fixed II of \p MinDist (which

@@ -54,9 +54,12 @@ int SatSolver::newVar() {
   VarLevel.push_back(0);
   Activity.push_back(0);
   Polarity.push_back(0);
-  HeapIndex.push_back(-1);
   Seen.push_back(0);
-  heapInsert(V);
+  // A fresh variable has activity 0, which no variable undercuts, and the
+  // largest index, so it belongs at the end of the heap: percolating it up
+  // would not move it.
+  HeapIndex.push_back(static_cast<int>(Heap.size()));
+  Heap.push_back(V);
   return V;
 }
 
@@ -111,6 +114,24 @@ void SatSolver::heapInsert(int Var) {
   Heap.push_back(Var);
   HeapIndex[static_cast<size_t>(Var)] = static_cast<int>(Heap.size()) - 1;
   heapPercolateUp(static_cast<int>(Heap.size()) - 1);
+}
+
+void SatSolver::heapDropAssigned() {
+  // Root facts are never unassigned, so once out of the heap they stay out.
+  // The (activity, index) order is strict, so the rebuilt heap yields the
+  // same first unassigned variable as popping the facts one at a time.
+  size_t Kept = 0;
+  for (const int V : Heap) {
+    if (value(V) == 0)
+      Heap[Kept++] = V;
+    else
+      HeapIndex[static_cast<size_t>(V)] = -1;
+  }
+  Heap.resize(Kept);
+  for (size_t I = 0; I < Kept; ++I)
+    HeapIndex[static_cast<size_t>(Heap[I])] = static_cast<int>(I);
+  for (size_t I = Kept / 2; I > 0; --I)
+    heapPercolateDown(static_cast<int>(I - 1));
 }
 
 int SatSolver::heapPopMax() {
@@ -195,7 +216,7 @@ void SatSolver::attachClause(int Id) {
   Watches[static_cast<size_t>(Ls[1].Code)].push_back(Id);
 }
 
-int SatSolver::addClauseRecord(const std::vector<Lit> &Lits, bool Learnt) {
+int SatSolver::addClauseRecord(std::span<const Lit> Lits, bool Learnt) {
   const int Id = static_cast<int>(Clauses.size());
   Clause C;
   C.Off = static_cast<int>(LitPool.size());
@@ -211,50 +232,53 @@ int SatSolver::addClauseRecord(const std::vector<Lit> &Lits, bool Learnt) {
   return Id;
 }
 
-bool SatSolver::addClause(std::vector<Lit> Lits) {
+bool SatSolver::addClause(std::span<const Lit> Lits) {
   if (!Ok)
     return false;
   assert(decisionLevel() == 0 && "clauses are added at the root level");
 
-  // Normalize: sort, merge duplicates, detect tautologies, drop literals
-  // already false at the root, succeed early on literals already true.
-  std::sort(Lits.begin(), Lits.end());
-  std::vector<Lit> Out;
-  Out.reserve(Lits.size());
-  for (const Lit L : Lits) {
+  // Normalize in place in AddBuf: sort, merge duplicates, detect
+  // tautologies, drop literals already false at the root, succeed early on
+  // literals already true. The kept prefix [0, N) never overtakes the read
+  // position.
+  AddBuf.assign(Lits.begin(), Lits.end());
+  std::sort(AddBuf.begin(), AddBuf.end());
+  size_t N = 0;
+  for (const Lit L : AddBuf) {
     assert(litVar(L) >= 0 && litVar(L) < numVars() && "unknown variable");
-    if (!Out.empty() && Out.back() == L)
+    if (N > 0 && AddBuf[N - 1] == L)
       continue;
-    if (!Out.empty() && Out.back() == ~L)
+    if (N > 0 && AddBuf[N - 1] == ~L)
       return true; // tautology
     if (value(L) > 0 && VarLevel[static_cast<size_t>(litVar(L))] == 0)
       return true; // already satisfied
     if (value(L) < 0 && VarLevel[static_cast<size_t>(litVar(L))] == 0)
       continue; // already falsified
-    Out.push_back(L);
+    AddBuf[N++] = L;
   }
 
-  if (Out.empty()) {
+  if (N == 0) {
     Ok = false;
     return false;
   }
-  if (Out.size() == 1) {
-    if (value(Out[0]) < 0) {
+  if (N == 1) {
+    const Lit Unit = AddBuf[0];
+    if (value(Unit) < 0) {
       Ok = false;
       return false;
     }
-    if (value(Out[0]) == 0)
-      uncheckedEnqueue(Out[0], NoReason);
+    if (value(Unit) == 0)
+      uncheckedEnqueue(Unit, NoReason);
     if (propagate() != NoReason)
       Ok = false;
     return Ok;
   }
-  addClauseRecord(Out, /*Learnt=*/false);
+  addClauseRecord(std::span<const Lit>(AddBuf.data(), N), /*Learnt=*/false);
   return true;
 }
 
 void SatSolver::rebuildWatches() {
-  for (auto &W : Watches)
+  for (WatchList &W : Watches)
     W.clear();
   for (int Id = 0; Id < static_cast<int>(Clauses.size()); ++Id)
     if (!Clauses[static_cast<size_t>(Id)].Dead)
@@ -318,10 +342,14 @@ void SatSolver::reduceDB() {
 int SatSolver::propagate() {
   while (QHead < Trail.size()) {
     const Lit P = Trail[QHead++]; // P just became true; ~P is false
-    std::vector<int> &WL = Watches[static_cast<size_t>((~P).Code)];
-    size_t Keep = 0;
-    for (size_t I = 0; I < WL.size(); ++I) {
-      const int Id = WL[I];
+    // Moved watches go to lists of non-false literals, never to this one,
+    // so its buffer and length stay put during the walk.
+    WatchList &WL = Watches[static_cast<size_t>((~P).Code)];
+    int *const Ids = WL.data();
+    const int Size = WL.size();
+    int Keep = 0;
+    for (int I = 0; I < Size; ++I) {
+      const int Id = Ids[I];
       Clause &C = Clauses[static_cast<size_t>(Id)];
       Lit *Ls = lits(C);
       // Move the false watch to slot 1.
@@ -329,7 +357,7 @@ int SatSolver::propagate() {
         std::swap(Ls[0], Ls[1]);
       assert(Ls[1] == ~P && "watch list out of sync");
       if (value(Ls[0]) > 0) {
-        WL[Keep++] = Id; // clause already satisfied by the other watch
+        Ids[Keep++] = Id; // clause already satisfied by the other watch
         continue;
       }
       bool Moved = false;
@@ -344,30 +372,30 @@ int SatSolver::propagate() {
       if (Moved)
         continue;
       // Unit or conflicting.
-      WL[Keep++] = Id;
+      Ids[Keep++] = Id;
       if (value(Ls[0]) < 0) {
-        for (size_t J = I + 1; J < WL.size(); ++J)
-          WL[Keep++] = WL[J];
-        WL.resize(Keep);
+        for (int J = I + 1; J < Size; ++J)
+          Ids[Keep++] = Ids[J];
+        WL.truncate(Keep);
         QHead = Trail.size();
         return Id;
       }
       uncheckedEnqueue(Ls[0], Id);
       ++Stats.Propagations;
     }
-    WL.resize(Keep);
+    WL.truncate(Keep);
   }
   return NoReason;
 }
 
 // -- conflict analysis ------------------------------------------------------
 
-void SatSolver::analyze(int Confl, std::vector<Lit> &Learnt, int &BtLevel) {
-  Learnt.assign(1, Lit{}); // slot 0 is the asserting literal
+int SatSolver::analyze(int Confl) {
+  LearntLits.assign(1, Lit{}); // slot 0 is the asserting literal
+  ToClear.clear();
   int PathCount = 0;
   Lit P{};
   int Index = static_cast<int>(Trail.size()) - 1;
-  std::vector<int> ToClear;
 
   do {
     assert(Confl != NoReason && "no reason on the conflict path");
@@ -387,7 +415,7 @@ void SatSolver::analyze(int Confl, std::vector<Lit> &Learnt, int &BtLevel) {
       if (VarLevel[static_cast<size_t>(V)] >= decisionLevel())
         ++PathCount;
       else
-        Learnt.push_back(Q);
+        LearntLits.push_back(Q);
     }
     while (!Seen[static_cast<size_t>(litVar(Trail[static_cast<size_t>(
         Index)]))])
@@ -398,23 +426,24 @@ void SatSolver::analyze(int Confl, std::vector<Lit> &Learnt, int &BtLevel) {
     Seen[static_cast<size_t>(litVar(P))] = 0;
     --PathCount;
   } while (PathCount > 0);
-  Learnt[0] = ~P;
+  LearntLits[0] = ~P;
 
   // Backjump to the second-highest decision level in the learned clause,
   // moving that literal into the other watch slot.
-  BtLevel = 0;
-  if (Learnt.size() > 1) {
+  int BtLevel = 0;
+  if (LearntLits.size() > 1) {
     size_t MaxIdx = 1;
-    for (size_t J = 2; J < Learnt.size(); ++J)
-      if (VarLevel[static_cast<size_t>(litVar(Learnt[J]))] >
-          VarLevel[static_cast<size_t>(litVar(Learnt[MaxIdx]))])
+    for (size_t J = 2; J < LearntLits.size(); ++J)
+      if (VarLevel[static_cast<size_t>(litVar(LearntLits[J]))] >
+          VarLevel[static_cast<size_t>(litVar(LearntLits[MaxIdx]))])
         MaxIdx = J;
-    std::swap(Learnt[1], Learnt[MaxIdx]);
-    BtLevel = VarLevel[static_cast<size_t>(litVar(Learnt[1]))];
+    std::swap(LearntLits[1], LearntLits[MaxIdx]);
+    BtLevel = VarLevel[static_cast<size_t>(litVar(LearntLits[1]))];
   }
 
   for (int V : ToClear)
     Seen[static_cast<size_t>(V)] = 0;
+  return BtLevel;
 }
 
 void SatSolver::analyzeFinal(Lit P) {
@@ -487,12 +516,15 @@ SatResult SatSolver::search(long ConflictBudget) {
     Ok = false;
     return SatResult::Unsat;
   }
+  if (Trail.size() != RootTrailDropped) {
+    heapDropAssigned();
+    RootTrailDropped = Trail.size();
+  }
 
   const long BudgetStart = Stats.Conflicts;
   long RestartIndex = 0;
   long RestartLimit = RestartBase * luby(RestartIndex);
   long ConflictsThisRestart = 0;
-  std::vector<Lit> Learnt;
 
   for (;;) {
     if (StopFlag && StopFlag->load(std::memory_order_relaxed))
@@ -506,17 +538,15 @@ SatResult SatSolver::search(long ConflictBudget) {
         Ok = false;
         return SatResult::Unsat;
       }
-      int BtLevel = 0;
-      analyze(Confl, Learnt, BtLevel);
-      cancelUntil(BtLevel);
+      cancelUntil(analyze(Confl));
       ++Stats.Learned;
-      Stats.LearnedLiterals += static_cast<long>(Learnt.size());
-      if (Learnt.size() == 1) {
-        uncheckedEnqueue(Learnt[0], NoReason);
+      Stats.LearnedLiterals += static_cast<long>(LearntLits.size());
+      if (LearntLits.size() == 1) {
+        uncheckedEnqueue(LearntLits[0], NoReason);
       } else {
-        const int Id = addClauseRecord(Learnt, /*Learnt=*/true);
+        const int Id = addClauseRecord(LearntLits, /*Learnt=*/true);
         bumpClause(Clauses[static_cast<size_t>(Id)]);
-        uncheckedEnqueue(Learnt[0], Id);
+        uncheckedEnqueue(LearntLits[0], Id);
       }
       decayVarActivity();
       decayClauseActivity();

@@ -24,8 +24,12 @@
 /// assuming ¬a, switched off by simply not assuming it, and permanently
 /// retired with the unit clause {a}.
 ///
-/// Clause literals live in a single arena (LitPool) rather than one
-/// heap-allocated vector per clause; reduceDB compacts the arena in place.
+/// Building a solver costs its clauses and little else: clause literals
+/// live in a single arena (LitPool) that reduceDB compacts in place,
+/// addClause reads its literals through a view and normalizes them in a
+/// member buffer, each literal's watch list keeps its first few clause ids
+/// inline (WatchList), and the search's learned-clause and analysis
+/// buffers are members reused across conflicts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +39,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <initializer_list>
+#include <new>
+#include <span>
 #include <vector>
 
 namespace lsms {
@@ -81,6 +90,67 @@ struct SatSolverStats {
   long Deleted = 0;        ///< learned clauses removed by reduceDB
 };
 
+/// The clause ids watching one literal, in attach order. The first
+/// InlineIds live inside the object, which is the size of a
+/// std::vector<int>; a longer list moves to one heap buffer that doubles
+/// as it grows. Lists only grow at the end and shrink by truncation,
+/// exactly like the vector they replace, so watch order is unchanged.
+class WatchList {
+public:
+  WatchList() = default;
+  WatchList(WatchList &&Other) noexcept
+      : Size(Other.Size), Capacity(Other.Capacity) {
+    std::memcpy(&Store, &Other.Store, sizeof(Store));
+    Other.Size = 0;
+    Other.Capacity = InlineIds;
+  }
+  WatchList(const WatchList &) = delete;
+  WatchList &operator=(const WatchList &) = delete;
+  WatchList &operator=(WatchList &&) = delete;
+  ~WatchList() {
+    if (spilled())
+      std::free(Store.Heap);
+  }
+
+  int size() const { return Size; }
+  int *data() { return spilled() ? Store.Heap : Store.Inline; }
+
+  void push_back(int Id) {
+    if (Size == Capacity)
+      grow();
+    data()[Size++] = Id;
+  }
+  /// Keeps the first \p N ids (N <= size()).
+  void truncate(int N) { Size = N; }
+  void clear() { Size = 0; }
+
+private:
+  static constexpr int InlineIds = 4;
+  bool spilled() const { return Capacity > InlineIds; }
+  void grow() {
+    const int NewCapacity = 2 * Capacity;
+    const size_t Bytes = sizeof(int) * static_cast<size_t>(NewCapacity);
+    void *Buffer = spilled() ? std::realloc(Store.Heap, Bytes)
+                             : std::malloc(Bytes);
+    if (!Buffer)
+      throw std::bad_alloc();
+    if (!spilled())
+      std::memcpy(Buffer, Store.Inline, sizeof(Store.Inline));
+    Store.Heap = static_cast<int *>(Buffer);
+    Capacity = NewCapacity;
+  }
+
+  union {
+    int Inline[InlineIds];
+    int *Heap;
+  } Store{};
+  int Size = 0;
+  int Capacity = InlineIds;
+};
+
+static_assert(sizeof(WatchList) == sizeof(std::vector<int>),
+              "a watch list is the size of the vector it replaces");
+
 class SatSolver {
 public:
   SatSolver();
@@ -92,8 +162,13 @@ public:
   /// Adds a clause over existing variables. Returns false when the clause
   /// set is already unsatisfiable at the root level (further addClause /
   /// solve calls then keep reporting failure). Duplicate literals are
-  /// merged and tautologies are dropped.
-  bool addClause(std::vector<Lit> Lits);
+  /// merged and tautologies are dropped. The literals are read, not kept:
+  /// normalization works in a member buffer, so adding a clause allocates
+  /// nothing beyond the growth of the clause arena and the watch lists.
+  bool addClause(std::span<const Lit> Lits);
+  bool addClause(std::initializer_list<Lit> Lits) {
+    return addClause(std::span<const Lit>(Lits.begin(), Lits.size()));
+  }
 
   /// Number of problem (non-learned) clauses currently alive.
   int numClauses() const { return NumProblemClauses; }
@@ -167,11 +242,11 @@ private:
   // -- search ---------------------------------------------------------------
   SatResult search(long ConflictBudget);
   int propagate(); ///< returns conflicting clause id or NoReason
-  void analyze(int Confl, std::vector<Lit> &Learnt, int &BtLevel);
+  int analyze(int Confl); ///< fills LearntLits, returns the backjump level
   void analyzeFinal(Lit P); ///< assumption core for failed assumption P
   Lit pickBranchLit();
   void attachClause(int Id);
-  int addClauseRecord(const std::vector<Lit> &Lits, bool Learnt);
+  int addClauseRecord(std::span<const Lit> Lits, bool Learnt);
   void reduceDB();
   void rebuildWatches();
 
@@ -190,13 +265,14 @@ private:
   bool heapInHeap(int Var) const {
     return HeapIndex[static_cast<size_t>(Var)] >= 0;
   }
+  void heapDropAssigned();
 
   bool Ok = true;
   std::vector<Clause> Clauses;
   std::vector<Lit> LitPool; ///< clause-literal arena, compacted by reduceDB
   std::vector<int> LearntIds;
   int NumProblemClauses = 0;
-  std::vector<std::vector<int>> Watches; ///< per literal code
+  std::vector<WatchList> Watches; ///< per literal code
 
   std::vector<int8_t> Assigns; ///< per var: 1 true, -1 false, 0 unassigned
   std::vector<Lit> Trail;
@@ -212,8 +288,13 @@ private:
 
   std::vector<int> Heap;      ///< variable indices, heap-ordered
   std::vector<int> HeapIndex; ///< position in Heap, -1 when absent
+  /// Root trail length when search() last dropped root facts from Heap.
+  size_t RootTrailDropped = 0;
 
-  std::vector<char> Seen; ///< analyze scratch
+  std::vector<Lit> AddBuf;     ///< addClause normalization scratch
+  std::vector<Lit> LearntLits; ///< analyze: the clause being learned
+  std::vector<char> Seen;      ///< analyze scratch, all zero between calls
+  std::vector<int> ToClear;    ///< analyze: variables whose Seen is set
   std::vector<int8_t> Model;
 
   std::vector<Lit> Assumps; ///< active assumptions during search()

@@ -21,10 +21,6 @@ using namespace lsms;
 
 namespace {
 
-bool add(SatSolver &S, std::initializer_list<Lit> Ls) {
-  return S.addClause(std::vector<Lit>(Ls));
-}
-
 /// True when \p Core (a finalConflict) is a subset of \p Assumed.
 bool coreSubsetOfAssumptions(const std::vector<Lit> &Core,
                              const std::vector<Lit> &Assumed) {
@@ -40,7 +36,7 @@ bool coreSubsetOfAssumptions(const std::vector<Lit> &Core,
 TEST(IncrementalSat, AssumptionsDoNotPoisonTheSolver) {
   SatSolver S;
   const int X = S.newVar(), Y = S.newVar();
-  add(S, {mkLit(X), mkLit(Y)});
+  S.addClause({mkLit(X), mkLit(Y)});
   // Assuming both false contradicts the clause...
   EXPECT_EQ(S.solveUnderAssumptions({mkLit(X, true), mkLit(Y, true)}),
             SatResult::Unsat);
@@ -56,9 +52,9 @@ TEST(IncrementalSat, ActivationLiteralRetractsConstraintGroup) {
   const int X = S.newVar(), Y = S.newVar();
   const int Guard = S.newVar();
   // Group {x, y} guarded by Guard: active under the assumption ~Guard.
-  add(S, {mkLit(Guard), mkLit(X)});
-  add(S, {mkLit(Guard), mkLit(Y)});
-  add(S, {mkLit(X, true), mkLit(Y, true)}); // permanent: not both
+  S.addClause({mkLit(Guard), mkLit(X)});
+  S.addClause({mkLit(Guard), mkLit(Y)});
+  S.addClause({mkLit(X, true), mkLit(Y, true)}); // permanent: not both
   // Active group forces x and y simultaneously: unsat under ~Guard.
   EXPECT_EQ(S.solveUnderAssumptions({mkLit(Guard, true)}), SatResult::Unsat);
   // Retire the group with the permanent unit {Guard}: satisfiable again,
@@ -88,9 +84,11 @@ TEST(IncrementalSat, LearnedClausesPersistAcrossCalls) {
   }
   for (int H = 0; H < Holes; ++H)
     for (int P = 0; P < Pigeons; ++P)
-      for (int Q = P + 1; Q < Pigeons; ++Q)
-        add(S, {mkLit(Var[static_cast<size_t>(P)][static_cast<size_t>(H)], true),
-                mkLit(Var[static_cast<size_t>(Q)][static_cast<size_t>(H)], true)});
+      for (int Q = P + 1; Q < Pigeons; ++Q) {
+        const size_t HU = static_cast<size_t>(H);
+        S.addClause({mkLit(Var[static_cast<size_t>(P)][HU], true),
+                     mkLit(Var[static_cast<size_t>(Q)][HU], true)});
+      }
 
   const int A = S.newVar(); // an assumption variable unrelated to PHP
   EXPECT_EQ(S.solveUnderAssumptions({mkLit(A)}), SatResult::Unsat);
@@ -109,8 +107,8 @@ TEST(IncrementalSat, LearnedClausesPersistAcrossCalls) {
 TEST(IncrementalSat, FinalConflictIsACoreOverAssumptions) {
   SatSolver S;
   const int X = S.newVar(), Y = S.newVar(), Z = S.newVar();
-  add(S, {mkLit(X, true), mkLit(Y)});  // x -> y
-  add(S, {mkLit(Y, true), mkLit(Z)});  // y -> z
+  S.addClause({mkLit(X, true), mkLit(Y)});  // x -> y
+  S.addClause({mkLit(Y, true), mkLit(Z)});  // y -> z
   // Assume x, ~z (contradictory through the chain) and an irrelevant y...
   const std::vector<Lit> Assumed{mkLit(X), mkLit(Z, true)};
   EXPECT_EQ(S.solveUnderAssumptions(Assumed), SatResult::Unsat);
@@ -133,7 +131,7 @@ TEST(IncrementalSat, AlreadySatisfiedAssumptionsKeepLevelAlignment) {
   SatSolver S;
   const int X = S.newVar(), Y = S.newVar();
   EXPECT_TRUE(S.addClause({mkLit(X)})); // x is a root-level fact
-  add(S, {mkLit(X, true), mkLit(Y, true)});
+  S.addClause({mkLit(X, true), mkLit(Y, true)});
   // Assuming the already-true x first must not desynchronize the
   // assumption index from the decision level: the contradiction with the
   // second assumption y must still be detected as assumption-unsat.

@@ -2,14 +2,18 @@
 /// \file Unit tests for the embedded CDCL solver on hand-written CNF —
 /// satisfiable and unsatisfiable instances, unit propagation, incremental
 /// clause addition, model enumeration via blocking clauses, budget
-/// exhaustion, and bit-for-bit determinism — plus basic checks of the SAT
-/// modulo-scheduling encoder on the kernel suite.
+/// exhaustion, bit-for-bit determinism, the inline watch lists and the
+/// three ways of passing a clause — plus basic checks of the SAT
+/// modulo-scheduling encoder on the kernel suite and a pin of the search
+/// counters over the kernels and oracle loops.
 //===----------------------------------------------------------------------===//
 
 #include "bounds/Bounds.h"
 #include "cgra/CgraModel.h"
+#include "cgra/CgraOracle.h"
 #include "core/FuAssignment.h"
 #include "core/Validate.h"
+#include "exact/ExactEngine.h"
 #include "sat/CgraSat.h"
 #include "sat/MaxLiveSat.h"
 #include "sat/SatScheduler.h"
@@ -19,14 +23,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 using namespace lsms;
 
 namespace {
-
-/// Adds the clause {Ls...} to \p S; convenience for literal lists.
-bool add(SatSolver &S, std::initializer_list<Lit> Ls) {
-  return S.addClause(std::vector<Lit>(Ls));
-}
 
 /// Pigeonhole principle PHP(Pigeons, Holes): unsatisfiable whenever
 /// Pigeons > Holes, and known to require genuine conflict-driven search —
@@ -46,9 +48,11 @@ void encodePigeonhole(SatSolver &S, int Pigeons, int Holes) {
   }
   for (int H = 0; H < Holes; ++H)
     for (int P = 0; P < Pigeons; ++P)
-      for (int Q = P + 1; Q < Pigeons; ++Q)
-        add(S, {mkLit(Var[static_cast<size_t>(P)][static_cast<size_t>(H)], true),
-                mkLit(Var[static_cast<size_t>(Q)][static_cast<size_t>(H)], true)});
+      for (int Q = P + 1; Q < Pigeons; ++Q) {
+        const size_t HU = static_cast<size_t>(H);
+        S.addClause({mkLit(Var[static_cast<size_t>(P)][HU], true),
+                     mkLit(Var[static_cast<size_t>(Q)][HU], true)});
+      }
 }
 
 } // namespace
@@ -62,8 +66,8 @@ TEST(SatSolver, UnitClauseFixesModel) {
   SatSolver S;
   const int X = S.newVar();
   const int Y = S.newVar();
-  ASSERT_TRUE(add(S, {mkLit(X)}));
-  ASSERT_TRUE(add(S, {mkLit(Y, true)}));
+  ASSERT_TRUE(S.addClause({mkLit(X)}));
+  ASSERT_TRUE(S.addClause({mkLit(Y, true)}));
   ASSERT_EQ(S.solve(), SatResult::Sat);
   EXPECT_TRUE(S.modelValue(X));
   EXPECT_FALSE(S.modelValue(Y));
@@ -72,8 +76,8 @@ TEST(SatSolver, UnitClauseFixesModel) {
 TEST(SatSolver, ContradictoryUnitsAreUnsatAtRoot) {
   SatSolver S;
   const int X = S.newVar();
-  ASSERT_TRUE(add(S, {mkLit(X)}));
-  EXPECT_FALSE(add(S, {mkLit(X, true)}));
+  ASSERT_TRUE(S.addClause({mkLit(X)}));
+  EXPECT_FALSE(S.addClause({mkLit(X, true)}));
   EXPECT_FALSE(S.okay());
   EXPECT_EQ(S.solve(), SatResult::Unsat);
 }
@@ -86,10 +90,10 @@ TEST(SatSolver, UnitPropagationChain) {
   std::vector<int> X;
   for (int I = 0; I < N; ++I)
     X.push_back(S.newVar());
-  ASSERT_TRUE(add(S, {mkLit(X[0])}));
+  ASSERT_TRUE(S.addClause({mkLit(X[0])}));
   for (int I = 0; I + 1 < N; ++I)
-    ASSERT_TRUE(add(S, {mkLit(X[static_cast<size_t>(I)], true),
-                        mkLit(X[static_cast<size_t>(I) + 1])}));
+    ASSERT_TRUE(S.addClause({mkLit(X[static_cast<size_t>(I)], true),
+                             mkLit(X[static_cast<size_t>(I) + 1])}));
   ASSERT_EQ(S.solve(), SatResult::Sat);
   for (int I = 0; I < N; ++I)
     EXPECT_TRUE(S.modelValue(X[static_cast<size_t>(I)])) << "x" << I;
@@ -100,9 +104,10 @@ TEST(SatSolver, TautologyAndDuplicatesAreNormalized) {
   SatSolver S;
   const int X = S.newVar();
   const int Y = S.newVar();
-  ASSERT_TRUE(add(S, {mkLit(X), mkLit(X, true)})); // tautology: dropped
+  ASSERT_TRUE(S.addClause({mkLit(X), mkLit(X, true)})); // tautology: dropped
   EXPECT_EQ(S.numClauses(), 0);
-  ASSERT_TRUE(add(S, {mkLit(Y), mkLit(Y)})); // collapses to unit y
+  ASSERT_TRUE(S.addClause({mkLit(Y), mkLit(Y)})); // collapses to unit y
+  EXPECT_EQ(S.numClauses(), 0);
   ASSERT_EQ(S.solve(), SatResult::Sat);
   EXPECT_TRUE(S.modelValue(Y));
 }
@@ -195,6 +200,212 @@ TEST(SatSolver, LearnedClauseDeletionKeepsSoundness) {
   SatSolver U;
   encodePigeonhole(U, 9, 8);
   EXPECT_EQ(U.solve(), SatResult::Unsat);
+  // Every negative literal sits in eight binary clauses, more than a watch
+  // list keeps inline, so reduceDB rebuilds spilled lists. Rebuilding them
+  // in any other order would move these counters.
+  const SatSolverStats &St = U.stats();
+  EXPECT_EQ(St.Deleted, 5132);
+  EXPECT_EQ(St.Decisions, 12534);
+  EXPECT_EQ(St.Propagations, 156725);
+  EXPECT_EQ(St.Conflicts, 11941);
+  EXPECT_EQ(St.Restarts, 62);
+  EXPECT_EQ(St.LearnedLiterals, 254062);
+}
+
+TEST(SatSolver, RootFactsBetweenSolvesKeepTheSearch) {
+  // Facts added between solves, once conflicts have given the variables
+  // distinct activities, leave the order heap before the next search.
+  // The counters and models below are those of a solver that leaves them
+  // in the heap and pops them as it meets them; a different next decision
+  // would move them.
+  SatSolver S;
+  encodePigeonhole(S, 8, 8);
+  auto HoleOf = [&S] {
+    std::vector<int> Holes;
+    for (int V = 0; V < 64; ++V)
+      if (S.modelValue(V))
+        Holes.push_back(V % 8);
+    return Holes;
+  };
+  ASSERT_EQ(S.solve(), SatResult::Sat);
+  for (int P = 0; P < 8; ++P) // no pigeon in its own hole
+    ASSERT_TRUE(S.addClause({mkLit(P * 8 + P, true)}));
+  ASSERT_EQ(S.solve(), SatResult::Sat);
+  EXPECT_EQ(HoleOf(), (std::vector<int>{1, 5, 3, 6, 0, 2, 7, 4}));
+  for (int P = 0; P < 7; ++P) // nor in the next one
+    ASSERT_TRUE(S.addClause({mkLit(P * 8 + P + 1, true)}));
+  ASSERT_EQ(S.solve(), SatResult::Sat);
+  EXPECT_EQ(HoleOf(), (std::vector<int>{5, 3, 1, 0, 6, 7, 2, 4}));
+  EXPECT_EQ(S.stats().Decisions, 341);
+  EXPECT_EQ(S.stats().Propagations, 4694);
+  EXPECT_EQ(S.stats().Conflicts, 275);
+}
+
+TEST(WatchList, KeepsIdsInOrderPastTheInlineCapacity) {
+  WatchList W;
+  for (int Id = 0; Id < 37; ++Id) {
+    W.push_back(Id);
+    ASSERT_EQ(W.size(), Id + 1);
+    for (int J = 0; J <= Id; ++J)
+      ASSERT_EQ(W.data()[J], J) << "after " << Id + 1 << " pushes";
+  }
+  // Truncation keeps the prefix, and later pushes follow it.
+  W.truncate(3);
+  W.push_back(100);
+  ASSERT_EQ(W.size(), 4);
+  EXPECT_EQ(W.data()[2], 2);
+  EXPECT_EQ(W.data()[3], 100);
+  W.clear();
+  EXPECT_EQ(W.size(), 0);
+  W.push_back(5);
+  EXPECT_EQ(W.data()[0], 5);
+}
+
+TEST(WatchList, MoveTakesInlineAndSpilledIds) {
+  WatchList Short, Long;
+  for (int Id = 0; Id < 3; ++Id)
+    Short.push_back(Id);
+  for (int Id = 0; Id < 9; ++Id)
+    Long.push_back(10 * Id);
+  WatchList MovedShort(std::move(Short));
+  WatchList MovedLong(std::move(Long));
+  EXPECT_EQ(Short.size(), 0);
+  EXPECT_EQ(Long.size(), 0);
+  ASSERT_EQ(MovedShort.size(), 3);
+  ASSERT_EQ(MovedLong.size(), 9);
+  for (int Id = 0; Id < 3; ++Id)
+    EXPECT_EQ(MovedShort.data()[Id], Id);
+  for (int Id = 0; Id < 9; ++Id)
+    EXPECT_EQ(MovedLong.data()[Id], 10 * Id);
+  // A moved-from list is empty and usable again.
+  for (int Id = 0; Id < 6; ++Id)
+    Long.push_back(Id);
+  EXPECT_EQ(Long.data()[5], 5);
+}
+
+namespace {
+
+/// True when \p Clauses all hold in \p S's last model.
+bool modelSatisfies(const SatSolver &S,
+                    const std::vector<std::vector<Lit>> &Clauses) {
+  return std::all_of(Clauses.begin(), Clauses.end(), [&](const auto &C) {
+    return std::any_of(C.begin(), C.end(), [&](Lit L) {
+      return S.modelValue(litVar(L)) != litSign(L);
+    });
+  });
+}
+
+void expectSameSearch(const SatSolver &A, const SatSolver &B) {
+  EXPECT_EQ(A.stats().Decisions, B.stats().Decisions);
+  EXPECT_EQ(A.stats().Propagations, B.stats().Propagations);
+  EXPECT_EQ(A.stats().Conflicts, B.stats().Conflicts);
+  EXPECT_EQ(A.stats().Restarts, B.stats().Restarts);
+  EXPECT_EQ(A.stats().Learned, B.stats().Learned);
+  EXPECT_EQ(A.stats().LearnedLiterals, B.stats().LearnedLiterals);
+  EXPECT_EQ(A.stats().Deleted, B.stats().Deleted);
+  EXPECT_EQ(A.numClauses(), B.numClauses());
+  ASSERT_EQ(A.numVars(), B.numVars());
+  for (int V = 0; V < A.numVars(); ++V)
+    EXPECT_EQ(A.modelValue(V), B.modelValue(V)) << "var " << V;
+}
+
+} // namespace
+
+TEST(SatSolver, WatchListsSurviveVariableGrowth) {
+  // PHP(6,6) leaves every negative literal watched by five binary clauses
+  // (past the inline capacity) and a few positive ones by one clause each.
+  // Growing the variable table afterwards moves all of those lists; the
+  // search must then run exactly as when every variable exists up front.
+  constexpr int Early = 36, Late = 2000;
+  std::vector<std::vector<Lit>> LateClauses;
+  for (int V = Early; V + 1 < Early + Late; ++V)
+    LateClauses.push_back({mkLit(V, true), mkLit(V + 1)}); // v -> v+1
+  for (int V = Early; V < Early + Late; V += 100)
+    LateClauses.push_back({mkLit(0, true), mkLit(V, true), mkLit(1)});
+  LateClauses.push_back({mkLit(Early)});
+
+  auto Run = [&](SatSolver &S, bool GrowLate) {
+    for (int V = 0; V < Early + (GrowLate ? 0 : Late); ++V)
+      S.newVar();
+    for (int P = 0; P < 6; ++P)
+      S.addClause({mkLit(P * 6), mkLit(P * 6 + 1), mkLit(P * 6 + 2),
+                   mkLit(P * 6 + 3), mkLit(P * 6 + 4), mkLit(P * 6 + 5)});
+    for (int H = 0; H < 6; ++H)
+      for (int P = 0; P < 6; ++P)
+        for (int Q = P + 1; Q < 6; ++Q)
+          S.addClause({mkLit(P * 6 + H, true), mkLit(Q * 6 + H, true)});
+    for (int V = 0; V < (GrowLate ? Late : 0); ++V)
+      S.newVar();
+    for (const std::vector<Lit> &C : LateClauses)
+      S.addClause(C);
+    EXPECT_EQ(S.solve(), SatResult::Sat);
+  };
+  SatSolver Grown, Upfront;
+  Run(Grown, /*GrowLate=*/true);
+  Run(Upfront, /*GrowLate=*/false);
+  expectSameSearch(Grown, Upfront);
+  EXPECT_TRUE(modelSatisfies(Grown, LateClauses));
+  EXPECT_TRUE(Grown.modelValue(Early + Late - 1));
+}
+
+TEST(SatSolver, ClauseViewsAreInterchangeable) {
+  // One clause stream, including a duplicate literal, a tautology and a
+  // clause with a root-false literal, through the three ways of passing
+  // literals: the solver must store and search it identically.
+  enum class Route { Braced, ArraySpan, Vector };
+  std::vector<std::vector<Lit>> Clauses;
+  for (int P = 0; P < 5; ++P) {
+    std::vector<Lit> AtLeastOne;
+    for (int H = 0; H < 5; ++H)
+      AtLeastOne.push_back(mkLit(P * 5 + H));
+    Clauses.push_back(AtLeastOne);
+  }
+  for (int H = 0; H < 5; ++H)
+    for (int P = 0; P < 5; ++P)
+      for (int Q = P + 1; Q < 5; ++Q)
+        Clauses.push_back({mkLit(P * 5 + H, true), mkLit(Q * 5 + H, true)});
+  Clauses.push_back({mkLit(0, true)});
+  Clauses.push_back({mkLit(7), mkLit(7), mkLit(13)});
+  Clauses.push_back({mkLit(8), mkLit(8, true)});
+  Clauses.push_back({mkLit(0), mkLit(12), mkLit(18)});
+
+  auto Run = [&](SatSolver &S, Route How) {
+    for (int V = 0; V < 25; ++V)
+      S.newVar();
+    for (const std::vector<Lit> &C : Clauses) {
+      switch (How) {
+      case Route::Braced:
+        if (C.size() == 1)
+          S.addClause({C[0]});
+        else if (C.size() == 2)
+          S.addClause({C[0], C[1]});
+        else if (C.size() == 3)
+          S.addClause({C[0], C[1], C[2]});
+        else {
+          ASSERT_EQ(C.size(), 5u);
+          S.addClause({C[0], C[1], C[2], C[3], C[4]});
+        }
+        break;
+      case Route::ArraySpan: {
+        Lit Array[5];
+        std::copy(C.begin(), C.end(), Array);
+        S.addClause(std::span<const Lit>(Array, C.size()));
+        break;
+      }
+      case Route::Vector:
+        S.addClause(C);
+        break;
+      }
+    }
+    EXPECT_EQ(S.solve(), SatResult::Sat);
+    EXPECT_TRUE(modelSatisfies(S, Clauses));
+  };
+  SatSolver Braced, ArraySpan, Vector;
+  Run(Braced, Route::Braced);
+  Run(ArraySpan, Route::ArraySpan);
+  Run(Vector, Route::Vector);
+  expectSameSearch(Braced, ArraySpan);
+  expectSameSearch(Braced, Vector);
 }
 
 //===----------------------------------------------------------------------===//
@@ -297,6 +508,58 @@ TEST(SatScheduler, NegativeBudgetGivesUpBeforeSearch) {
                            Pes, SpatialStats),
             CgraSatStatus::Budget);
   EXPECT_EQ(SpatialStats.Decisions + SpatialStats.Conflicts, 0);
+}
+
+TEST(SatSearchPin, CountersMatchRecordedSums) {
+  // The solver's counters summed over a fixed workload: the flat SAT
+  // engine with the MaxLive certification pass on the kernels and 40
+  // oracle loops, and the exact CGRA mapper on a 2x2 grid over the
+  // kernels at 1,024 conflicts per rung. A change to the solver or an
+  // encoder that alters the clause stream or a single decision moves
+  // these sums even when every verdict stays the same. The constants are
+  // the solver's current behaviour; re-record them only for a change
+  // meant to alter the search.
+  const MachineModel Machine = MachineModel::cydra5();
+  const std::vector<LoopBody> Kernels = buildKernelSuite();
+  std::vector<LoopBody> Loops = Kernels;
+  for (LoopBody &Body : buildOracleSuite(40, 3, 20, /*Seed=*/0xCAFE,
+                                         /*Jobs=*/1))
+    Loops.push_back(std::move(Body));
+  ExactOptions Options;
+  Options.Engine = ExactEngineKind::Sat;
+  Options.MinimizeMaxLive = true;
+  ExactEngineStats Sum;
+  for (const LoopBody &Body : Loops) {
+    const ExactEngineStats S =
+        scheduleLoopExact(Body, Machine, Options).EngineStats;
+    Sum.Decisions += S.Decisions;
+    Sum.Propagations += S.Propagations;
+    Sum.Conflicts += S.Conflicts;
+    Sum.LearnedClauses += S.LearnedClauses;
+    Sum.SatVariables += S.SatVariables;
+    Sum.SatClauses += S.SatClauses;
+  }
+  EXPECT_EQ(Sum.Decisions, 17652);
+  EXPECT_EQ(Sum.Propagations, 44184);
+  EXPECT_EQ(Sum.Conflicts, 756);
+  EXPECT_EQ(Sum.LearnedClauses, 756);
+  EXPECT_EQ(Sum.SatVariables, 110747);
+  EXPECT_EQ(Sum.SatClauses, 46639);
+
+  const CgraModel Cgra = CgraModel::defaultGrid(2, 2);
+  CgraExactOptions CgraOptions;
+  CgraOptions.ConflictBudget = 1 << 10;
+  SatEngineStats CgraSum;
+  for (const LoopBody &Body : Kernels) {
+    const DepGraph Graph(Body, Cgra.flatModel());
+    const SatEngineStats S = mapLoopCgraExact(Graph, Cgra, CgraOptions).Sat;
+    CgraSum.Decisions += S.Decisions;
+    CgraSum.Propagations += S.Propagations;
+    CgraSum.Conflicts += S.Conflicts;
+  }
+  EXPECT_EQ(CgraSum.Decisions, 32441);
+  EXPECT_EQ(CgraSum.Propagations, 760959);
+  EXPECT_EQ(CgraSum.Conflicts, 19797);
 }
 
 TEST(SatScheduler, StatsArePopulated) {
