@@ -8,7 +8,9 @@
 ///   lsmsc [options] <file.loop | ->
 ///     --scheduler=slack|cydrome|unidirectional
 ///     --load-latency=N     override the machine's load latency (N >= 1)
-///     --iterations=N       simulate N iterations (default 40; 0 disables)
+///     --iterations=N       simulate N iterations (default 40; 0 disables;
+///                          at most 10,000: both simulators hold every value
+///                          instance of every iteration)
 ///     --print-ir --print-schedule --print-kernel   (all on by default)
 ///     --quiet              only print the summary line
 //===----------------------------------------------------------------------===//
@@ -35,8 +37,13 @@ void usage() {
   std::cerr
       << "usage: lsmsc [--scheduler=slack|cydrome|unidirectional]\n"
          "             [--load-latency=N] [--iterations=N] [--quiet]\n"
-         "             <file.loop | ->\n";
+         "             <file.loop | ->\n"
+         "       --iterations=N: N at most 10,000 (default 40; 0 skips the\n"
+         "       simulation)\n";
 }
+
+/// Both simulators hold every value instance of every iteration.
+constexpr long MaxIterations = 10000;
 
 } // namespace
 
@@ -70,7 +77,7 @@ int main(int Argc, char **Argv) {
       }
     } else if (Arg.rfind("--iterations=", 0) == 0) {
       if (!parseWholeInteger(std::string_view(Arg).substr(13), Iterations) ||
-          Iterations < 0) {
+          Iterations < 0 || Iterations > MaxIterations) {
         usage();
         return 2;
       }

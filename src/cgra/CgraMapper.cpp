@@ -284,9 +284,7 @@ private:
                 static_cast<size_t>(R)] >= 0)
         ++Own;
     long Neighbor = 0;
-    for (int Q = 0; Q < Cgra.numPes(); ++Q) {
-      if (Q == Pe || Cgra.hopDistance(Pe, Q) != 1)
-        continue;
+    for (const int Q : Cgra.neighbors(Pe)) {
       for (int R = 0; R < II; ++R)
         if (Owner[static_cast<size_t>(Q) * static_cast<size_t>(II) +
                   static_cast<size_t>(R)] >= 0)

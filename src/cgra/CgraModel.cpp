@@ -1,7 +1,6 @@
 #include "cgra/CgraModel.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 using namespace lsms;
@@ -58,11 +57,43 @@ constexpr FuKind PlacedKinds[] = {FuKind::MemoryPort, FuKind::AddressAlu,
 
 } // namespace
 
-void CgraModel::rebuildFlat() {
+void CgraModel::rebuildDerived() {
   Flat = Base;
   for (const FuKind Kind : PlacedKinds) {
     const int Capable = capableCount(peCapForFuKind(Kind));
     Flat.setUnitCount(Kind, std::max(1, Capable));
+  }
+
+  PeRows.clear();
+  PeCols.clear();
+  Neighbors.clear();
+  NeighborBegin.assign(1, 0);
+  // Up, down, left, right; the torus wraps, the mesh drops off-grid steps.
+  // A 1- or 2-wide torus axis reaches the PE itself or one PE twice.
+  constexpr int Steps[4][2] = {{-1, 0}, {1, 0}, {0, -1}, {0, 1}};
+  for (int R = 0; R < Rows; ++R) {
+    for (int C = 0; C < Cols; ++C) {
+      PeRows.push_back(R);
+      PeCols.push_back(C);
+      const size_t Begin = Neighbors.size();
+      for (const auto &[DR, DC] : Steps) {
+        int QR = R + DR, QC = C + DC;
+        if (Torus) {
+          QR = (QR + Rows) % Rows;
+          QC = (QC + Cols) % Cols;
+        } else if (QR < 0 || QR >= Rows || QC < 0 || QC >= Cols) {
+          continue;
+        }
+        const int Q = QR * Cols + QC;
+        if (Q != R * Cols + C)
+          Neighbors.push_back(Q);
+      }
+      std::sort(Neighbors.begin() + static_cast<long>(Begin), Neighbors.end());
+      Neighbors.erase(std::unique(Neighbors.begin() + static_cast<long>(Begin),
+                                  Neighbors.end()),
+                      Neighbors.end());
+      NeighborBegin.push_back(Neighbors.size());
+    }
   }
 }
 
@@ -92,7 +123,7 @@ CgraModel CgraModel::defaultGrid(int Rows, int Cols) {
   if (M.capableCount(PeCap::Mul) == 0)
     for (uint8_t &Bits : M.Caps)
       Bits |= capBit(PeCap::Mul);
-  M.rebuildFlat();
+  M.rebuildDerived();
   return M;
 }
 
@@ -102,16 +133,6 @@ int CgraModel::capableCount(PeCap Cap) const {
     if (Bits & capBit(Cap))
       ++Count;
   return Count;
-}
-
-int CgraModel::hopDistance(int A, int B) const {
-  int DR = std::abs(peRow(A) - peRow(B));
-  int DC = std::abs(peCol(A) - peCol(B));
-  if (Torus) {
-    DR = std::min(DR, Rows - DR);
-    DC = std::min(DC, Cols - DC);
-  }
-  return DR + DC;
 }
 
 namespace {
@@ -279,7 +300,7 @@ bool CgraModel::parse(const std::string &Config, CgraModel &Out,
     return false;
   }
   (void)SawPeLine;
-  M.rebuildFlat();
+  M.rebuildDerived();
   Out = M;
   Err.clear();
   return true;

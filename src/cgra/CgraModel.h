@@ -24,7 +24,10 @@
 
 #include "machine/MachineModel.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -100,8 +103,8 @@ public:
     assert(Row >= 0 && Row < Rows && Col >= 0 && Col < Cols);
     return Row * Cols + Col;
   }
-  int peRow(int Pe) const { return Pe / Cols; }
-  int peCol(int Pe) const { return Pe % Cols; }
+  int peRow(int Pe) const { return PeRows[static_cast<size_t>(Pe)]; }
+  int peCol(int Pe) const { return PeCols[static_cast<size_t>(Pe)]; }
 
   bool hasCap(int Pe, PeCap Cap) const {
     return (Caps[static_cast<size_t>(Pe)] &
@@ -118,7 +121,23 @@ public:
 
   /// Hop distance between two PEs: Manhattan on the mesh, wrap-around
   /// Manhattan on the torus.
-  int hopDistance(int A, int B) const;
+  int hopDistance(int A, int B) const {
+    int DR = std::abs(peRow(A) - peRow(B));
+    int DC = std::abs(peCol(A) - peCol(B));
+    if (Torus) {
+      DR = std::min(DR, Rows - DR);
+      DC = std::min(DC, Cols - DC);
+    }
+    return DR + DC;
+  }
+
+  /// The PEs one hop from \p Pe (hopDistance 1, \p Pe itself excluded),
+  /// ascending, each once.
+  std::span<const int> neighbors(int Pe) const {
+    const size_t Begin = NeighborBegin[static_cast<size_t>(Pe)];
+    return std::span<const int>(Neighbors).subspan(
+        Begin, NeighborBegin[static_cast<size_t>(Pe) + 1] - Begin);
+  }
 
   /// Interconnect delay charged to a value moving from \p A to \p B.
   int hopDelay(int A, int B) const { return HopLatency * hopDistance(A, B); }
@@ -137,7 +156,9 @@ public:
   std::string describe() const;
 
 private:
-  void rebuildFlat();
+  /// Derives the flat machine and the per-PE geometry (row, column and
+  /// neighbour list) from the grid and its capabilities.
+  void rebuildDerived();
 
   int Rows = 0;
   int Cols = 0;
@@ -145,6 +166,11 @@ private:
   int HopLatency = 1;
   int RouteCap = 2;
   std::vector<uint8_t> Caps; ///< capability bitmask per PE
+  std::vector<int> PeRows;   ///< row per PE
+  std::vector<int> PeCols;   ///< column per PE
+  /// One-hop neighbours of PE p at [NeighborBegin[p], NeighborBegin[p + 1]).
+  std::vector<int> Neighbors;
+  std::vector<size_t> NeighborBegin{0};
   MachineModel Base;
   MachineModel Flat;
 };

@@ -76,14 +76,14 @@ IrregularCase lsms::runIrregularCase(const LoopBody &Body,
   Case.CertifiedGap =
       Case.CertifiedGapValid ? Case.ConsExactII - Case.SpecExactII : 0;
 
-  // Replay both schedules against the default concrete trace. The
-  // conservative schedule must reproduce the reference unconditionally;
-  // the speculative one must whenever every assumption held.
+  // Replay both schedules against the default concrete trace of the
+  // conservative body, traced once for both. The conservative schedule
+  // must reproduce the reference unconditionally; the speculative one must
+  // whenever every assumption held.
+  const TracedReference Ref(Cons.Body, Options.Iterations);
   if (SpecS.Success) {
     Case.Replayed = true;
-    const ReplayResult RR = replaySchedule(Cons.Body, SpecS,
-                                           Options.Iterations,
-                                           Spec.Assumptions);
+    const ReplayResult RR = replaySchedule(Ref, SpecS, Spec.Assumptions);
     Case.AllHeld = RR.AllHeld;
     for (const AssumptionOutcome &O : RR.Outcomes) {
       if (O.Held)
@@ -91,7 +91,7 @@ IrregularCase lsms::runIrregularCase(const LoopBody &Body,
       Case.Violations += O.Violations;
     }
     Case.MisspeculatedStores = RR.Pipelined.MisspeculatedStores;
-    Case.ActualTrip = RR.Reference.ActualTrip;
+    Case.ActualTrip = Ref.result().ActualTrip;
     Case.SpecTraceOk = RR.Mismatch.empty();
     if (RR.AllHeld && !RR.Mismatch.empty())
       Case.TraceError =
@@ -99,8 +99,7 @@ IrregularCase lsms::runIrregularCase(const LoopBody &Body,
           RR.Mismatch;
   }
   if (ConsS.Success) {
-    const ReplayResult CR =
-        replaySchedule(Cons.Body, ConsS, Options.Iterations, {});
+    const ReplayResult CR = replaySchedule(Ref, ConsS, {});
     Case.ConsTraceOk = CR.Mismatch.empty();
     if (!Case.ConsTraceOk && Case.TraceError.empty())
       Case.TraceError =

@@ -3,6 +3,7 @@
 #include "support/Compiler.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -23,23 +24,24 @@ double lsms::defaultMemoryInit(int Array, long Index) {
 
 namespace {
 
+/// The largest operand count of any opcode (Select's three).
+constexpr size_t MaxOperands = 3;
+
 /// Shared machinery: per-value instance tables, memory, and per-operation
 /// evaluation. Both executors drive it with different (iteration, op)
 /// orders.
 class Machine {
 public:
+  /// Instances are stored value-major in one flat table: the slot of
+  /// (value v, iteration First + k) is v * Iterations + k. Loop inputs
+  /// (Start-defined values) are read from the body, never from the table.
   Machine(const LoopBody &Body, long Iterations, const MemoryInit &Init)
-      : Body(Body), First(Body.First), Iterations(Iterations), Init(Init) {
-    Instances.assign(static_cast<size_t>(Body.numValues()), {});
-    Computed.assign(static_cast<size_t>(Body.numValues()), {});
-    for (auto &V : Instances)
-      V.assign(static_cast<size_t>(Iterations), 0.0);
-    for (auto &C : Computed)
-      C.assign(static_cast<size_t>(Iterations), false);
-    Memory.assign(static_cast<size_t>(Body.NumArrays), {});
-    // Loop inputs (Start-defined values) are available for every
-    // iteration.
-  }
+      : Body(Body), First(Body.First), Iterations(Iterations), Init(Init),
+        Instances(static_cast<size_t>(Body.numValues()) *
+                      static_cast<size_t>(Iterations),
+                  0.0),
+        Computed(Instances.size(), 0),
+        Memory(static_cast<size_t>(Body.NumArrays)) {}
 
   /// Value instance of \p ValueId for iteration \p Iter (absolute, may be
   /// below First for seeded reads). Sets \p Ok false on undefined reads.
@@ -56,17 +58,17 @@ public:
     }
     const size_t Slot = static_cast<size_t>(Iter - First);
     if (Slot >= static_cast<size_t>(Iterations) ||
-        !Computed[static_cast<size_t>(ValueId)][Slot]) {
+        !Computed[slot(ValueId, Slot)]) {
       Ok = false;
       return 0.0;
     }
-    return Instances[static_cast<size_t>(ValueId)][Slot];
+    return Instances[slot(ValueId, Slot)];
   }
 
   void setInstance(int ValueId, long Iter, double D) {
-    const size_t Slot = static_cast<size_t>(Iter - First);
-    Instances[static_cast<size_t>(ValueId)][Slot] = D;
-    Computed[static_cast<size_t>(ValueId)][Slot] = true;
+    const size_t Slot = slot(ValueId, static_cast<size_t>(Iter - First));
+    Instances[Slot] = D;
+    Computed[Slot] = 1;
   }
 
   double memoryAt(int Array, long Index) {
@@ -114,12 +116,17 @@ public:
   }
 
 private:
+  size_t slot(int ValueId, size_t Iter) const {
+    return static_cast<size_t>(ValueId) * static_cast<size_t>(Iterations) +
+           Iter;
+  }
+
   const LoopBody &Body;
   const long First;
   const long Iterations;
   const MemoryInit &Init;
-  std::vector<std::vector<double>> Instances;
-  std::vector<std::vector<bool>> Computed;
+  std::vector<double> Instances;
+  std::vector<uint8_t> Computed;
   std::vector<std::map<long, double>> Memory;
 };
 
@@ -161,7 +168,7 @@ bool Machine::evaluate(const Operation &Op, long Iter, std::string &Error,
                            ? static_cast<long>(std::llround(A0))
                            : Iter * Op.ElemStride + Op.ElemOffset;
     if (Trace)
-      Trace->push_back({Op.Id, Iter, Index, false});
+      Trace->push_back({Op.Id, Index});
     Result = memoryAt(Op.ArrayId, Index);
     break;
   }
@@ -174,7 +181,7 @@ bool Machine::evaluate(const Operation &Op, long Iter, std::string &Error,
                            ? static_cast<long>(std::llround(A0))
                            : Iter * Op.ElemStride + Op.ElemOffset;
     if (Trace)
-      Trace->push_back({Op.Id, Iter, Index, true});
+      Trace->push_back({Op.Id, Index});
     if (StoreOut) {
       *StoreOut = {Op.ArrayId, Index, Datum};
     } else {
@@ -183,11 +190,13 @@ bool Machine::evaluate(const Operation &Op, long Iter, std::string &Error,
     return true;
   }
   default: {
-    std::vector<double> Operands(Op.Operands.size());
-    for (size_t I = 0; I < Op.Operands.size(); ++I)
+    const size_t Count = Op.Operands.size();
+    assert(Count <= MaxOperands && "more operands than any opcode takes");
+    std::array<double, MaxOperands> Operands{};
+    for (size_t I = 0; I < Count; ++I)
       Operands[I] = Operand(I);
     if (Ok)
-      Result = evaluateOpcode(Op.Opc, Operands);
+      Result = evaluateOpcode(Op.Opc, std::span(Operands.data(), Count));
     break;
   }
   }
@@ -203,8 +212,6 @@ bool Machine::evaluate(const Operation &Op, long Iter, std::string &Error,
     setInstance(Op.Result, Iter, Result);
   return true;
 }
-
-
 
 /// Topological order of operations under omega-0 dependences (register and
 /// memory): the sequential execution order of one iteration.
@@ -302,27 +309,38 @@ ExecutionResult lsms::runPipelined(const LoopBody &Body,
 
   Machine M(Body, Iterations, Init);
 
-  // Build the event list: (issue time, op, iteration).
+  // The event list (issue time, op, iteration) in (time, iteration, op)
+  // order: events are generated in (iteration, op) order and placed by
+  // one stable counting pass over issue times.
   struct Event {
     long Time;
     int Op;
     long Iter;
   };
-  std::vector<Event> Events;
-  Events.reserve(static_cast<size_t>(Body.numOps()) *
-                 static_cast<size_t>(Iterations));
-  for (long Iter = Body.First; Iter < Body.First + Iterations; ++Iter) {
-    const long Offset = (Iter - Body.First) * Sched.II;
-    for (const Operation &Op : Body.Ops)
-      Events.push_back(
-          {Sched.Times[static_cast<size_t>(Op.Id)] + Offset, Op.Id, Iter});
+  long MinTime = 0, MaxTime = 0;
+  if (!Sched.Times.empty()) {
+    const auto [Lo, Hi] =
+        std::minmax_element(Sched.Times.begin(), Sched.Times.end());
+    MinTime = *Lo;
+    MaxTime = *Hi + std::max(Iterations - 1, 0L) * Sched.II;
   }
-  std::sort(Events.begin(), Events.end(), [](const Event &A, const Event &B) {
-    if (A.Time != B.Time)
-      return A.Time < B.Time;
-    if (A.Iter != B.Iter)
-      return A.Iter < B.Iter;
-    return A.Op < B.Op;
+  std::vector<size_t> Bucket(static_cast<size_t>(MaxTime - MinTime) + 2, 0);
+  auto ForEachEvent = [&Body, &Sched, Iterations](auto Visit) {
+    for (long Iter = Body.First; Iter < Body.First + Iterations; ++Iter) {
+      const long Offset = (Iter - Body.First) * Sched.II;
+      for (const Operation &Op : Body.Ops)
+        Visit(Event{Sched.Times[static_cast<size_t>(Op.Id)] + Offset, Op.Id,
+                    Iter});
+    }
+  };
+  ForEachEvent([&Bucket, MinTime](const Event &E) {
+    ++Bucket[static_cast<size_t>(E.Time - MinTime) + 1];
+  });
+  for (size_t T = 1; T < Bucket.size(); ++T)
+    Bucket[T] += Bucket[T - 1];
+  std::vector<Event> Events(Bucket.back());
+  ForEachEvent([&Bucket, &Events, MinTime](const Event &E) {
+    Events[Bucket[static_cast<size_t>(E.Time - MinTime)]++] = E;
   });
 
   // Stores commit one cycle after issue; loads sample memory at issue.
@@ -450,7 +468,7 @@ std::string lsms::compareExecutions(const ExecutionResult &A,
   return std::string();
 }
 
-double lsms::evaluateOpcode(Opcode Opc, const std::vector<double> &Operands) {
+double lsms::evaluateOpcode(Opcode Opc, std::span<const double> Operands) {
   auto AsLong = [](double D) { return static_cast<long>(D); };
   auto A = [&Operands](size_t I) {
     assert(I < Operands.size() && "missing operand");

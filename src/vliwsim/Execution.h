@@ -27,6 +27,7 @@
 
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,9 +64,7 @@ struct ExecutionResult {
 /// replay to check NoAlias assumptions against a concrete trace.
 struct MemTraceEntry {
   int Op = -1;
-  long Iter = 0;
   long Index = 0; ///< element index within the op's array
-  bool IsStore = false;
 };
 
 /// Executes \p Body sequentially for \p Iterations iterations starting at
@@ -80,10 +79,12 @@ ExecutionResult runReferenceTraced(const LoopBody &Body, long Iterations,
                                    std::vector<MemTraceEntry> &TraceOut);
 
 /// Executes \p Sched's overlapped pipeline for \p Iterations iterations.
-/// \p Sched must be a successful schedule of \p Body. For while-loops the
-/// exit test resolves one cycle after its compare issues; stores of later
-/// iterations that issue at or after that cycle are squashed, earlier ones
-/// commit and are counted as misspeculated.
+/// \p Sched must be a successful schedule of \p Body. Within a cycle,
+/// operations issue in (iteration, op) order, and stores commit one cycle
+/// later in that same order. For while-loops the exit test resolves one
+/// cycle after its compare issues; stores of later iterations that issue
+/// at or after that cycle are squashed, earlier ones commit and are
+/// counted as misspeculated.
 ExecutionResult runPipelined(const LoopBody &Body, const Schedule &Sched,
                              long Iterations,
                              const MemoryInit &Init = defaultMemoryInit);
@@ -96,7 +97,7 @@ std::string compareExecutions(const ExecutionResult &A,
 /// Evaluates a pure (non-memory, non-pseudo) opcode on operand values:
 /// the single source of operation semantics shared by the interpreters
 /// and the machine-code simulator.
-double evaluateOpcode(Opcode Opc, const std::vector<double> &Operands);
+double evaluateOpcode(Opcode Opc, std::span<const double> Operands);
 
 } // namespace lsms
 

@@ -1,10 +1,11 @@
 //===----------------------------------------------------------------------===//
 /// \file Tests for the CGRA spatial mapping subsystem: config-grammar
-/// parsing (positives and negatives), mesh/torus hop distances, the flat
-/// over-approximation's unit counts, validateMapping rejecting hand-broken
-/// mappings, the placement-aware heuristic on the kernel suite, the exact
-/// SAT mapper's parity with the heuristic on small grids, and a loop whose
-/// certified spatial II sits strictly above the flat MII.
+/// parsing (positives and negatives), mesh/torus hop distances and
+/// one-hop neighbour lists, the flat over-approximation's unit counts,
+/// validateMapping rejecting hand-broken mappings, the placement-aware
+/// heuristic on the kernel suite, the exact SAT mapper's parity with the
+/// heuristic on small grids, and a loop whose certified spatial II sits
+/// strictly above the flat MII.
 //===----------------------------------------------------------------------===//
 
 #include "cgra/CgraOracle.h"
@@ -13,6 +14,10 @@
 #include "workloads/Suite.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <span>
 
 using namespace lsms;
 
@@ -144,6 +149,57 @@ TEST(CgraModel, HopDistanceMeshVsTorus) {
   // Opposite corners are one wrap-around step per axis on the torus.
   EXPECT_EQ(Torus.hopDistance(A, B), 2);
   EXPECT_EQ(Torus.hopDelay(A, B), 4);
+}
+
+TEST(CgraModel, NeighborListsAreTheOneHopPes) {
+  // Test-local distance: Manhattan on the mesh, each axis wrapping on the
+  // torus, from row-major PE ids.
+  auto Reference = [](int Rows, int Cols, bool Torus, int A, int B) {
+    int DR = std::abs(A / Cols - B / Cols);
+    int DC = std::abs(A % Cols - B % Cols);
+    if (Torus) {
+      DR = std::min(DR, Rows - DR);
+      DC = std::min(DC, Cols - DC);
+    }
+    return DR + DC;
+  };
+  const int Dims[][2] = {{1, 1}, {1, 4}, {2, 2}, {3, 5}, {4, 4}, {64, 64}};
+  for (const auto &[Rows, Cols] : Dims) {
+    for (const bool Torus : {false, true}) {
+      const std::string Config = "grid " + std::to_string(Rows) + "x" +
+                                 std::to_string(Cols) +
+                                 (Torus ? " torus" : " mesh") + "\n";
+      CgraModel Cgra;
+      std::string Err;
+      ASSERT_TRUE(CgraModel::parse(Config, Cgra, Err)) << Err;
+      const bool Small = Rows * Cols <= 16;
+      for (int P = 0; P < Cgra.numPes(); ++P) {
+        std::vector<int> Expected;
+        for (int Q = 0; Q < Cgra.numPes(); ++Q) {
+          if (Small) {
+            ASSERT_EQ(Cgra.hopDistance(P, Q),
+                      Reference(Rows, Cols, Torus, P, Q))
+                << Config << "PEs " << P << ", " << Q;
+          }
+          if (Q != P && Cgra.hopDistance(P, Q) == 1)
+            Expected.push_back(Q);
+        }
+        const std::span<const int> Got = Cgra.neighbors(P);
+        ASSERT_EQ(std::vector<int>(Got.begin(), Got.end()), Expected)
+            << Config << "PE " << P;
+      }
+    }
+  }
+
+  // On a 2-wide torus the horizontal neighbour is one step left and one
+  // step right, and is listed once.
+  CgraModel Torus;
+  std::string Err;
+  ASSERT_TRUE(CgraModel::parse("grid 3x2 torus\n", Torus, Err)) << Err;
+  const std::span<const int> Row0 = Torus.neighbors(Torus.peId(0, 0));
+  EXPECT_EQ(std::vector<int>(Row0.begin(), Row0.end()),
+            (std::vector<int>{Torus.peId(0, 1), Torus.peId(1, 0),
+                              Torus.peId(2, 0)}));
 }
 
 TEST(CgraModel, FlattenedUnitCountsAreCapablePeCounts) {

@@ -9,6 +9,8 @@
 ///    validator-clean, the conservative schedule reproduces the reference
 ///    trace on every generated trace, and the speculative schedule does on
 ///    every trace where its assumptions held;
+///  - the replay's assumption violation counts equal a recount from the
+///    reference trace;
 ///  - the sweep report is byte-identical across worker counts;
 ///  - while-exit execution semantics, including a loop where dropping the
 ///    control fence makes misspeculated stores observable;
@@ -32,6 +34,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <sstream>
 
 using namespace lsms;
@@ -98,14 +101,14 @@ void checkIrregularProperties(const LoopBody &Body) {
   const MemoryInit Inits[] = {defaultMemoryInit, altMemoryInit};
   for (const MemoryInit &Init : Inits) {
     for (const long Window : {32L, 64L}) {
-      const ReplayResult Cons =
-          replaySchedule(P.Cons.Body, P.ConsS, Window, {}, Init);
+      const TracedReference Ref(P.Cons.Body, Window, Init);
+      const ReplayResult Cons = replaySchedule(Ref, P.ConsS, {});
       EXPECT_EQ(Cons.Mismatch, "")
           << "conservative schedule diverged (window " << Window << ")";
       EXPECT_EQ(Cons.Pipelined.MisspeculatedStores, 0);
 
-      const ReplayResult Spec = replaySchedule(P.Cons.Body, P.SpecS, Window,
-                                               P.Spec.Assumptions, Init);
+      const ReplayResult Spec =
+          replaySchedule(Ref, P.SpecS, P.Spec.Assumptions);
       if (Spec.AllHeld) {
         EXPECT_EQ(Spec.Mismatch, "")
             << "speculative schedule diverged with all assumptions held "
@@ -147,6 +150,55 @@ TEST(IrregularProperty, TwoHundredSeededLoops) {
   // properties above are vacuous.
   EXPECT_GT(WhileLoops, 20);
   EXPECT_GT(MayAlias, 200);
+}
+
+TEST(IrregularReplay, AssumptionCountsMatchTheTrace) {
+  // The replay counts NoAlias collisions by merging the two ops' sorted
+  // index lists. Recount them here straight from the reference trace, as
+  // every (source access, destination access) pair on one element, and
+  // NoEarlyExit as the iterations the exit cut off.
+  long Collisions = 0, RepeatedCollisions = 0;
+  for (const LoopBody &Body : buildIrregularSuite(100, 48, 0x19930601)) {
+    SCOPED_TRACE(Body.Name);
+    const Lowering Cons = lowerConservative(Body);
+    const Lowering Spec = lowerSpeculative(Body);
+    const Schedule SpecS = scheduleLoop(
+        DepGraph(Spec.Body, MachineModel::cydra5()), SchedulerOptions::slack());
+    if (!SpecS.Success)
+      continue;
+    const long Window = 64;
+    std::vector<MemTraceEntry> Trace;
+    const ExecutionResult Ref =
+        runReferenceTraced(Cons.Body, Window, defaultMemoryInit, Trace);
+    const TracedReference Traced(Cons.Body, Window);
+    const ReplayResult R = replaySchedule(Traced, SpecS, Spec.Assumptions);
+    ASSERT_EQ(R.Outcomes.size(), Spec.Assumptions.size());
+    for (size_t K = 0; K < Spec.Assumptions.size(); ++K) {
+      const Assumption &A = Spec.Assumptions[K];
+      long Expected = 0;
+      if (A.Kind == AssumptionKind::NoEarlyExit) {
+        Expected = Window - Ref.ActualTrip;
+      } else {
+        std::map<long, long> SrcCount;
+        for (const MemTraceEntry &E : Trace)
+          if (E.Op == A.SrcOp)
+            ++SrcCount[E.Index];
+        for (const MemTraceEntry &E : Trace)
+          if (E.Op == A.DstOp && SrcCount.count(E.Index)) {
+            Expected += SrcCount[E.Index];
+            if (SrcCount[E.Index] > 1)
+              ++RepeatedCollisions;
+          }
+        Collisions += Expected;
+      }
+      EXPECT_EQ(R.Outcomes[K].Violations, Expected) << A.Text;
+      EXPECT_EQ(R.Outcomes[K].Held, Expected == 0) << A.Text;
+    }
+  }
+  // Both the plain and the repeated-index cases must occur, or the
+  // comparison above proves little.
+  EXPECT_GT(Collisions, 0);
+  EXPECT_GT(RepeatedCollisions, 0);
 }
 
 // Beyond the shared rule (a rejected schedule, a heuristic II below a
@@ -270,14 +322,15 @@ TEST(WhileExit, ObservableMisspeculation) {
   ASSERT_LT(Ref.ActualTrip, 64);
 
   // Conservative: fences honored, nothing misspeculates.
-  const ReplayResult Cons = replaySchedule(P.Cons.Body, P.ConsS, 64, {});
+  const TracedReference Traced(P.Cons.Body, 64);
+  const ReplayResult Cons = replaySchedule(Traced, P.ConsS, {});
   EXPECT_EQ(Cons.Mismatch, "");
   EXPECT_EQ(Cons.Pipelined.MisspeculatedStores, 0);
 
   // Speculative: the NoEarlyExit assumption is violated and the violation
   // is observable — stores of squashed iterations committed.
   const ReplayResult Spec =
-      replaySchedule(P.Cons.Body, P.SpecS, 64, P.Spec.Assumptions);
+      replaySchedule(Traced, P.SpecS, P.Spec.Assumptions);
   EXPECT_FALSE(Spec.AllHeld);
   bool SawEarlyExit = false;
   for (const AssumptionOutcome &O : Spec.Outcomes)

@@ -1,15 +1,23 @@
 //===----------------------------------------------------------------------===//
 /// \file End-to-end functional validation: the pipelined execution of every
 /// schedule must produce bit-identical memory and live-outs to the
-/// sequential reference interpreter.
+/// sequential reference interpreter. Same-cycle stores commit in
+/// (iteration, op) order, and both executors' results over the kernels and
+/// an irregular suite are pinned to recorded sums.
 //===----------------------------------------------------------------------===//
 
 #include "core/ModuloScheduler.h"
 #include "frontend/LoopCompiler.h"
+#include "ir/IRBuilder.h"
+#include "spec/Speculation.h"
 #include "vliwsim/Execution.h"
 #include "workloads/Kernels.h"
+#include "workloads/Suite.h"
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 
 using namespace lsms;
 
@@ -38,6 +46,43 @@ LoopBody compileOrDie(const std::string &Src, const std::string &Name) {
   EXPECT_EQ(Err, "") << Src;
   return Body;
 }
+
+/// Sums over a set of executions plus one order-sensitive FNV-1a hash of
+/// every written cell and live-out, taken over the doubles' bit patterns
+/// (so -0.0 and each NaN payload count).
+struct ExecutionDigest {
+  long ActualTrip = 0;
+  long MisspeculatedStores = 0;
+  long WrittenCells = 0;
+  long FailedRuns = 0;
+  uint64_t Hash = 0xcbf29ce484222325ULL;
+
+  void mix(uint64_t Word) {
+    for (int Byte = 0; Byte < 8; ++Byte) {
+      Hash ^= (Word >> (8 * Byte)) & 0xffu;
+      Hash *= 0x100000001b3ULL;
+    }
+  }
+
+  void add(const ExecutionResult &R) {
+    ActualTrip += R.ActualTrip;
+    MisspeculatedStores += R.MisspeculatedStores;
+    if (!R.Error.empty())
+      ++FailedRuns;
+    for (size_t Array = 0; Array < R.Arrays.size(); ++Array) {
+      mix(Array);
+      WrittenCells += static_cast<long>(R.Arrays[Array].size());
+      for (const auto &[Index, D] : R.Arrays[Array]) {
+        mix(static_cast<uint64_t>(Index));
+        mix(std::bit_cast<uint64_t>(D));
+      }
+    }
+    for (const auto &[Id, D] : R.LiveOuts) {
+      mix(static_cast<uint64_t>(Id));
+      mix(std::bit_cast<uint64_t>(D));
+    }
+  }
+};
 
 } // namespace
 
@@ -148,6 +193,106 @@ TEST(PipelinedExecution, FailedScheduleReportsError) {
   const LoopBody Body = buildDaxpyLoop();
   const ExecutionResult R = runPipelined(Body, Bad, 4);
   EXPECT_NE(R.Error, "");
+}
+
+TEST(PipelinedExecution, SameCycleStoresCommitInIterationThenOpOrder) {
+  // No scheduler puts two stores to one cell in the same cycle (an output
+  // dependence orders them), but a speculative schedule that dropped that
+  // arc can. Within a cycle the pipelined executor issues, and so commits,
+  // in (iteration, op) order: the order the sequential reference writes
+  // in, so the same store wins in both executions. This hand-built
+  // schedule does both at II 1: st1 of iteration j and st0 of iteration
+  // j + 1 write a[j + 1] in one cycle (iteration order decides), and st2
+  // and st3 of one iteration write b[j] in one cycle (op order decides).
+  LoopBody Body;
+  Body.Name = "same_cycle_stores";
+  IRBuilder B(Body);
+  const int A = B.newArray("a");
+  const int Bv = B.newArray("b");
+  const int Addr = B.addressStream("addr", 0);
+  const int One =
+      B.emitValue(Opcode::Copy, {Use{B.invariant("one", 1.0), 0}}, "one_r");
+  const int Two =
+      B.emitValue(Opcode::Copy, {Use{B.invariant("two", 2.0), 0}}, "two_r");
+  const int St0 = B.emitStore(A, 0, Use{Addr, 0}, Use{One, 0}, "st0");
+  const int St1 = B.emitStore(A, 1, Use{Addr, 0}, Use{Two, 0}, "st1");
+  const int St2 = B.emitStore(Bv, 0, Use{Addr, 0}, Use{One, 0}, "st2");
+  const int St3 = B.emitStore(Bv, 0, Use{Addr, 0}, Use{Two, 0}, "st3");
+  B.finish();
+
+  Schedule Sched;
+  Sched.Success = true;
+  Sched.II = 1;
+  Sched.Times.assign(static_cast<size_t>(Body.numOps()), 0);
+  Sched.Times[static_cast<size_t>(St0)] = 1;
+  Sched.Times[static_cast<size_t>(St1)] = 2;
+  Sched.Times[static_cast<size_t>(St2)] = 1;
+  Sched.Times[static_cast<size_t>(St3)] = 1;
+  Sched.Times[static_cast<size_t>(Body.stopOp())] = 3;
+
+  const long Iterations = 8;
+  const ExecutionResult Ref = runReference(Body, Iterations);
+  const ExecutionResult Pipe = runPipelined(Body, Sched, Iterations);
+  ASSERT_EQ(Ref.Error, "");
+  ASSERT_EQ(Pipe.Error, "");
+  EXPECT_EQ(compareExecutions(Ref, Pipe), "");
+  for (long I = Body.First; I < Body.First + Iterations; ++I) {
+    EXPECT_EQ(Pipe.Arrays[static_cast<size_t>(A)].at(I), 1.0) << "a[" << I << "]";
+    EXPECT_EQ(Pipe.Arrays[static_cast<size_t>(Bv)].at(I), 2.0) << "b[" << I << "]";
+  }
+  EXPECT_EQ(Pipe.Arrays[static_cast<size_t>(A)].at(Body.First + Iterations),
+            2.0);
+}
+
+TEST(ExecutionPin, ResultsMatchRecordedSums) {
+  // Reference and pipelined executions, 64 iterations each, of the slack
+  // schedules of the kernels and of both lowerings of 100 irregular loops
+  // (the speculative schedule replayed on the conservative body, as the
+  // speculation sweep does), folded into sums and one hash. A change to
+  // the executors that moves a single misspeculated or squashed store, a
+  // trip count or a cell's bits moves these constants even when every
+  // comparison against the reference still passes. The constants are the
+  // executors' current behaviour; re-record them only for a change meant
+  // to alter execution semantics.
+  constexpr long Iterations = 64;
+  const SchedulerOptions Slack = SchedulerOptions::slack();
+  ExecutionDigest Kernels, Cons, Spec;
+
+  const std::vector<LoopBody> KernelSuite = buildKernelSuite();
+  ASSERT_EQ(KernelSuite.size(), 43u);
+  for (const LoopBody &Body : KernelSuite) {
+    const Schedule S = scheduleLoop(DepGraph(Body, machine()), Slack);
+    Kernels.add(runReference(Body, Iterations));
+    Kernels.add(runPipelined(Body, S, Iterations));
+  }
+
+  for (const LoopBody &Body : buildIrregularSuite(100, 48, 0x19930601)) {
+    const Lowering C = lowerConservative(Body);
+    const Lowering P = lowerSpeculative(Body);
+    const Schedule ConsS = scheduleLoop(DepGraph(C.Body, machine()), Slack);
+    const Schedule SpecS = scheduleLoop(DepGraph(P.Body, machine()), Slack);
+    const ExecutionResult Ref = runReference(C.Body, Iterations);
+    Cons.add(Ref);
+    Cons.add(runPipelined(C.Body, ConsS, Iterations));
+    Spec.add(Ref);
+    Spec.add(runPipelined(C.Body, SpecS, Iterations));
+  }
+
+  EXPECT_EQ(Kernels.ActualTrip, 5504);
+  EXPECT_EQ(Kernels.MisspeculatedStores, 0);
+  EXPECT_EQ(Kernels.WrittenCells, 6170);
+  EXPECT_EQ(Kernels.FailedRuns, 0);
+  EXPECT_EQ(Kernels.Hash, 0x3AEB1DE6DE313D01ULL);
+  EXPECT_EQ(Cons.ActualTrip, 10218);
+  EXPECT_EQ(Cons.MisspeculatedStores, 0);
+  EXPECT_EQ(Cons.WrittenCells, 14548);
+  EXPECT_EQ(Cons.FailedRuns, 0);
+  EXPECT_EQ(Cons.Hash, 0xDFD5E9E2CB432CC9ULL);
+  EXPECT_EQ(Spec.ActualTrip, 10218);
+  EXPECT_EQ(Spec.MisspeculatedStores, 7);
+  EXPECT_EQ(Spec.WrittenCells, 14555);
+  EXPECT_EQ(Spec.FailedRuns, 0);
+  EXPECT_EQ(Spec.Hash, 0xAD51DD79C0B1B6ADULL);
 }
 
 TEST(CompareExecutions, DetectsDifferences) {
