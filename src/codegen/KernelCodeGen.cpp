@@ -91,6 +91,7 @@ std::string lsms::generateKernelCode(const LoopBody &Body,
                        U.Omega, Stage);
   };
 
+  Out.Ops.reserve(static_cast<size_t>(Body.numMachineOps()));
   for (const Operation &Op : Body.Ops) {
     if (isPseudo(Op.Opc))
       continue;
@@ -105,6 +106,7 @@ std::string lsms::generateKernelCode(const LoopBody &Body,
     K.ElemStride = Op.ElemStride;
     K.StagePredSpec = Out.StagePredColor + K.Stage;
 
+    K.Srcs.reserve(Op.Operands.size());
     for (const Use &U : Op.Operands)
       K.Srcs.push_back(MakeSrc(U, K.Stage));
     if (Op.PredValue >= 0)

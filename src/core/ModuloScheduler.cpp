@@ -12,7 +12,6 @@
 #include <cassert>
 #include <chrono>
 #include <climits>
-#include <tuple>
 #include <vector>
 
 using namespace lsms;
@@ -88,6 +87,9 @@ private:
   bool forcePlace(int X);
 
   // -- Placement bookkeeping ---------------------------------------------
+  /// \p X's slack divided by 2^SlackShift[X], truncated toward zero as
+  /// integer division truncates.
+  long scaledSlack(int X) const;
   void place(int X, int Cycle);
   void eject(int Y);
   bool resourceConflict(int X, int CycleX, int Y, int CycleY) const;
@@ -114,11 +116,15 @@ private:
   BoundsTracker Bounds;
   std::vector<long> StaticPriority;
   /// Per op, for the choice of Section 4.3: 1 when RecurrencesFirst puts
-  /// it after the recurrence ops, else 0; and what its slack is divided
-  /// by, 2 on a critical resource, 2 for a divider, 4 for both (halving
+  /// it after the recurrence ops, else 0; and how many times its slack is
+  /// halved, once on a critical resource, once for a divider (halving
   /// twice with truncation is one division by 4).
   std::vector<char> Tier;
-  std::vector<long> SlackDivisor;
+  std::vector<char> SlackShift;
+  /// The unplaced operations other than Start, in no particular order,
+  /// and each operation's position in that list (-1 when placed).
+  std::vector<int> Unplaced;
+  std::vector<int> UnplacedPos;
   std::vector<long> MinLT; ///< per value, at this II
   /// Per op: another operation reads its result (Section 5.2's outputs).
   std::vector<bool> ResultReadElsewhere;
@@ -132,14 +138,14 @@ bool AttemptScheduler::run(std::vector<int> &TimesOut) {
 
   const std::vector<bool> Critical = markCriticalOps(Body, Machine, II);
   Tier.assign(static_cast<size_t>(N), 0);
-  SlackDivisor.assign(static_cast<size_t>(N), 1);
+  SlackShift.assign(static_cast<size_t>(N), 0);
   for (int X = 0; X < N; ++X) {
     const size_t I = static_cast<size_t>(X);
     Tier[I] = Options.RecurrencesFirst && !Graph.onRecurrence(X);
     if (Options.HalveCriticalSlack && ResMII > 1 && Critical[I])
-      SlackDivisor[I] *= 2;
+      ++SlackShift[I];
     if (Options.HalveDividerSlack && isDividerOp(Body.op(X).Opc))
-      SlackDivisor[I] *= 2;
+      ++SlackShift[I];
   }
 
   MinLT.assign(static_cast<size_t>(Body.numValues()), 0);
@@ -165,6 +171,14 @@ bool AttemptScheduler::run(std::vector<int> &TimesOut) {
   // Start is fixed at cycle 0 (Section 4.1); the tracker sets Lstart(Stop)
   // from the empty schedule (Section 4.2).
   Times[static_cast<size_t>(Body.startOp())] = 0;
+  Unplaced.clear();
+  UnplacedPos.assign(static_cast<size_t>(N), -1);
+  for (int X = 0; X < N; ++X) {
+    if (X == Body.startOp())
+      continue;
+    UnplacedPos[static_cast<size_t>(X)] = static_cast<int>(Unplaced.size());
+    Unplaced.push_back(X);
+  }
   Bounds.start();
 
   if (!Options.DynamicPriority) {
@@ -172,16 +186,13 @@ bool AttemptScheduler::run(std::vector<int> &TimesOut) {
     // schedule, with the same halving refinements.
     StaticPriority.assign(static_cast<size_t>(N), 0);
     for (int X = 0; X < N; ++X)
-      StaticPriority[static_cast<size_t>(X)] =
-          (Bounds.lstart(X) - Bounds.estart(X)) /
-          SlackDivisor[static_cast<size_t>(X)];
+      StaticPriority[static_cast<size_t>(X)] = scaledSlack(X);
   }
 
   const long Budget =
       static_cast<long>(Options.BudgetRatio) * std::max(N, 8);
-  int Remaining = N - 1; // all but Start
 
-  while (Remaining > 0) {
+  while (!Unplaced.empty()) {
     ++Stats.CentralLoopIterations;
 
     const int X = chooseOperation();
@@ -190,16 +201,13 @@ bool AttemptScheduler::run(std::vector<int> &TimesOut) {
     long Cycle;
     if (findIssueCycle(X, Cycle)) {
       place(X, static_cast<int>(Cycle));
-      --Remaining;
     } else {
       const auto T0 = Clock::now();
       ++Stats.ForcedPlacements;
-      const int Before = static_cast<int>(EjectionsThisAttempt);
       if (!forcePlace(X)) {
         Stats.SecondsBacktracking += secondsSince(T0);
         return false; // irreconcilable brtop conflict: try a larger II
       }
-      Remaining -= 1 - (static_cast<int>(EjectionsThisAttempt) - Before);
       Stats.SecondsBacktracking += secondsSince(T0);
       if (EjectionsThisAttempt > Budget)
         return false; // step 6: start over at a larger II
@@ -213,19 +221,27 @@ bool AttemptScheduler::run(std::vector<int> &TimesOut) {
   return true;
 }
 
+long AttemptScheduler::scaledSlack(int X) const {
+  const long Slack = Bounds.lstart(X) - Bounds.estart(X);
+  const int Shift = SlackShift[static_cast<size_t>(X)];
+  return Slack >= 0 ? Slack >> Shift : -((-Slack) >> Shift);
+}
+
 int AttemptScheduler::chooseOperation() {
+  // The least (tier, priority, Lstart), ties to the smallest op id: what an
+  // ascending scan keeping the first minimum finds.
   int Best = -1;
   long BestTier = LONG_MAX, BestPrio = LONG_MAX, BestLstart = LONG_MAX;
-  for (int X = 0; X < Body.numOps(); ++X) {
-    if (isPlaced(X))
-      continue;
+  for (const int X : Unplaced) {
     const long T = Tier[static_cast<size_t>(X)];
     const long L = Bounds.lstart(X);
     const long Prio = Options.DynamicPriority
-                          ? (L - Bounds.estart(X)) /
-                                SlackDivisor[static_cast<size_t>(X)]
+                          ? scaledSlack(X)
                           : StaticPriority[static_cast<size_t>(X)];
-    if (std::tie(T, Prio, L) < std::tie(BestTier, BestPrio, BestLstart)) {
+    if (T != BestTier ? T < BestTier
+        : Prio != BestPrio ? Prio < BestPrio
+        : L != BestLstart ? L < BestLstart
+                          : X < Best) {
       Best = X;
       BestTier = T;
       BestPrio = Prio;
@@ -247,24 +263,28 @@ bool AttemptScheduler::placeEarlyHeuristic(int X) const {
   // lifetime at least as far: Estart(def) + MinLT(v) >= omega*II +
   // Lstart(x).
   int NumIn = 0;
-  std::vector<int> Seen;
-  auto CountInput = [this, X, &Seen, &NumIn](const Use &U) {
+  // Whether an operand before position \p Pos already reads \p ValueId;
+  // the predicate counts as the position after the last operand.
+  const auto ReadEarlier = [&Op](int ValueId, size_t Pos) {
+    for (size_t I = 0; I < Pos; ++I)
+      if (Op.Operands[I].Value == ValueId)
+        return true;
+    return false;
+  };
+  const auto CountInput = [&](const Use &U, size_t Pos) {
     const Value &V = Body.value(U.Value);
-    if (V.Class != RegClass::RR || V.Def == X)
+    if (V.Class != RegClass::RR || V.Def == X || ReadEarlier(U.Value, Pos))
       return;
-    if (std::find(Seen.begin(), Seen.end(), U.Value) != Seen.end())
-      return;
-    Seen.push_back(U.Value);
     const long Pinned =
         Bounds.estart(V.Def) + MinLT[static_cast<size_t>(U.Value)];
     const long Reach = static_cast<long>(U.Omega) * II + Bounds.lstart(X);
     if (Pinned < Reach)
       ++NumIn;
   };
-  for (const Use &U : Op.Operands)
-    CountInput(U);
+  for (size_t I = 0; I < Op.Operands.size(); ++I)
+    CountInput(Op.Operands[I], I);
   if (Op.PredValue >= 0)
-    CountInput(Use{Op.PredValue, Op.PredOmega});
+    CountInput(Use{Op.PredValue, Op.PredOmega}, Op.Operands.size());
 
   // Outputs: in SSA form, placing the operation early stretches its result
   // lifetime; a self-recurrence-only result has fixed length and does not
@@ -420,6 +440,12 @@ void AttemptScheduler::place(int X, int Cycle) {
             FuInstance[static_cast<size_t>(X)], Cycle);
   Times[static_cast<size_t>(X)] = Cycle;
   LastTime[static_cast<size_t>(X)] = Cycle;
+  const int Pos = UnplacedPos[static_cast<size_t>(X)];
+  const int Last = Unplaced.back();
+  Unplaced[static_cast<size_t>(Pos)] = Last;
+  UnplacedPos[static_cast<size_t>(Last)] = Pos;
+  Unplaced.pop_back();
+  UnplacedPos[static_cast<size_t>(X)] = -1;
   Bounds.placed(X);
   ++Stats.Placements;
 }
@@ -430,6 +456,8 @@ void AttemptScheduler::eject(int Y) {
              FuInstance[static_cast<size_t>(Y)],
              Times[static_cast<size_t>(Y)]);
   Times[static_cast<size_t>(Y)] = -1;
+  UnplacedPos[static_cast<size_t>(Y)] = static_cast<int>(Unplaced.size());
+  Unplaced.push_back(Y);
   Bounds.ejected(Y);
   ++EjectionsThisAttempt;
   ++Stats.Ejections;

@@ -31,8 +31,12 @@ void countingSort(int Count, int NumBuckets, BucketFn BucketOf,
 DepGraph::DepGraph(const LoopBody &Body, const MachineModel &Machine)
     : TheBody(Body), Machine(Machine) {
   const int N = Body.numOps();
-  Adjacency.assign(static_cast<size_t>(N), {});
-  RevAdjacency.assign(static_cast<size_t>(N), {});
+  // At most a Start and a Stop arc per op, a flow arc per use, and the
+  // memory and extra arcs.
+  size_t MaxArcs = 2 * static_cast<size_t>(N) + Body.MemDeps.size();
+  for (const Operation &Op : Body.Ops)
+    MaxArcs += Op.Operands.size() + (Op.PredValue >= 0);
+  Arcs.reserve(MaxArcs);
 
   const int Start = Body.startOp();
   const int Stop = Body.stopOp();
@@ -41,9 +45,10 @@ DepGraph::DepGraph(const LoopBody &Body, const MachineModel &Machine)
   // own latency so that time(Stop) is the schedule length.
   for (const Operation &Op : Body.Ops) {
     if (Op.Id != Start)
-      addArc({Start, Op.Id, 0, 0, DepKind::Extra, -1});
+      Arcs.push_back({Start, Op.Id, 0, 0, DepKind::Extra, -1});
     if (Op.Id != Stop)
-      addArc({Op.Id, Stop, Machine.latency(Op.Opc), 0, DepKind::Extra, -1});
+      Arcs.push_back(
+          {Op.Id, Stop, Machine.latency(Op.Opc), 0, DepKind::Extra, -1});
   }
 
   // Register flow dependences from operand and predicate uses. Loop
@@ -53,8 +58,8 @@ DepGraph::DepGraph(const LoopBody &Body, const MachineModel &Machine)
       const Value &V = Body.value(U.Value);
       if (V.Class == RegClass::GPR)
         return;
-      addArc({V.Def, Op.Id, Machine.latency(Body.op(V.Def).Opc), U.Omega,
-              DepKind::Flow, U.Value});
+      Arcs.push_back({V.Def, Op.Id, Machine.latency(Body.op(V.Def).Opc),
+                      U.Omega, DepKind::Flow, U.Value});
     };
     for (const Use &U : Op.Operands)
       AddFlow(U);
@@ -64,16 +69,16 @@ DepGraph::DepGraph(const LoopBody &Body, const MachineModel &Machine)
 
   // Memory and extra precedence arcs.
   for (const MemDep &D : Body.MemDeps)
-    addArc({D.Src, D.Dst, D.Latency, D.Omega, D.Kind, -1});
+    Arcs.push_back({D.Src, D.Dst, D.Latency, D.Omega, D.Kind, -1});
+
+  // Each op's out-arcs and in-arcs, ascending ids.
+  const int NumArcs = static_cast<int>(Arcs.size());
+  countingSort(
+      NumArcs, N, [this](int I) { return arc(I).Src; }, SuccStart, SuccArcs);
+  countingSort(
+      NumArcs, N, [this](int I) { return arc(I).Dst; }, PredStart, PredArcs);
 
   condense();
-}
-
-void DepGraph::addArc(DepArc Arc) {
-  const int Index = static_cast<int>(Arcs.size());
-  Adjacency[static_cast<size_t>(Arc.Src)].push_back(Index);
-  RevAdjacency[static_cast<size_t>(Arc.Dst)].push_back(Index);
-  Arcs.push_back(Arc);
 }
 
 void DepGraph::condense() {
@@ -105,7 +110,7 @@ void DepGraph::condense() {
 
     while (!Dfs.empty()) {
       Frame &F = Dfs.back();
-      const auto &Succ = succArcs(F.Node);
+      const std::span<const int> Succ = succArcs(F.Node);
       if (F.ArcPos < Succ.size()) {
         const int To = arc(Succ[F.ArcPos++]).Dst;
         if (Index[static_cast<size_t>(To)] == -1) {

@@ -45,16 +45,16 @@ public:
   const LoopBody &body() const { return TheBody; }
   const MachineModel &machine() const { return Machine; }
 
-  int numOps() const { return static_cast<int>(Adjacency.size()); }
+  int numOps() const { return static_cast<int>(SuccStart.size()) - 1; }
   const std::vector<DepArc> &arcs() const { return Arcs; }
 
-  /// Arc indices leaving \p Op.
-  const std::vector<int> &succArcs(int Op) const {
-    return Adjacency[static_cast<size_t>(Op)];
+  /// Ids of the arcs leaving \p Op, ascending.
+  std::span<const int> succArcs(int Op) const {
+    return bucket(SuccStart, SuccArcs, Op);
   }
-  /// Arc indices entering \p Op.
-  const std::vector<int> &predArcs(int Op) const {
-    return RevAdjacency[static_cast<size_t>(Op)];
+  /// Ids of the arcs entering \p Op, ascending.
+  std::span<const int> predArcs(int Op) const {
+    return bucket(PredStart, PredArcs, Op);
   }
 
   const DepArc &arc(int Index) const {
@@ -98,7 +98,6 @@ public:
   bool onRecurrence(int Op) const { return members(component(Op)).size() > 1; }
 
 private:
-  void addArc(DepArc Arc);
   void condense();
 
   static std::span<const int> bucket(const std::vector<int> &Start,
@@ -110,12 +109,14 @@ private:
   const LoopBody &TheBody;
   const MachineModel &Machine;
   std::vector<DepArc> Arcs;
-  std::vector<std::vector<int>> Adjacency;
-  std::vector<std::vector<int>> RevAdjacency;
 
-  // The condensation, as flat CSR buckets: Start[B] .. Start[B + 1]
-  // delimits bucket B. Component C's members are bucket C of Members; its
-  // intra arcs bucket 2C and its entering arcs bucket 2C + 1 of CompArcs.
+  // Adjacency and the condensation, as flat CSR buckets: Start[B] ..
+  // Start[B + 1] delimits bucket B. Op X's out-arcs are bucket X of
+  // SuccArcs and its in-arcs bucket X of PredArcs. Component C's members
+  // are bucket C of Members; its intra arcs bucket 2C and its entering
+  // arcs bucket 2C + 1 of CompArcs.
+  std::vector<int> SuccStart, SuccArcs;
+  std::vector<int> PredStart, PredArcs;
   std::vector<int> Comp;        ///< component id per op
   std::vector<int> MemberIndex; ///< position of each op in its bucket
   std::vector<int> MemberStart, Members;

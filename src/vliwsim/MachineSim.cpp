@@ -51,11 +51,11 @@ ExecutionResult runKernelImpl(const LoopBody &Body, const KernelCode &Code,
   // Rotating seeds: instance j = -d of a value with color C lives in
   // physical register (C + d) mod size. The register may be legitimately
   // occupied by another lifetime until the seed's *virtual definition
-  // time* (def cycle minus d*II) — the allocation only guarantees the
-  // register from then on — so each seed is injected at exactly that time
-  // (clamped to the loop's start, which the model shows is safe: the
-  // seed's modeled lifetime covers [0, ...) whenever its virtual def time
-  // is negative).
+  // time* T (def cycle minus d*II) — the allocation only guarantees the
+  // register from then on — so each seed lands in the write phase of
+  // cycle T, like the definition it stands for. A seed with T < 0 is
+  // preloaded; one with T >= 0 waits for cycle T, whose reads still see
+  // the lifetime that ends there.
   struct SeedInject {
     long Time;
     int Phys;
@@ -83,9 +83,8 @@ ExecutionResult runKernelImpl(const LoopBody &Body, const KernelCode &Code,
                           V.SeedElemOffset);
         else if (static_cast<size_t>(D - 1) < V.Seeds.size())
           Seed = V.Seeds[static_cast<size_t>(D - 1)];
-        const long T = std::max<long>(
-            0, DefTime[static_cast<size_t>(V.Id)] -
-                   static_cast<long>(D) * Code.II);
+        const long T = DefTime[static_cast<size_t>(V.Id)] -
+                       static_cast<long>(D) * Code.II;
         const int Phys =
             physReg(Code.RRColor[static_cast<size_t>(V.Id)] + D, 0,
                     Code.RRSize);
@@ -99,7 +98,7 @@ ExecutionResult runKernelImpl(const LoopBody &Body, const KernelCode &Code,
   }
   size_t NextSeed = 0;
   // Seeds whose virtual definition precedes the loop are preloaded.
-  while (NextSeed < Seeds.size() && Seeds[NextSeed].Time <= 0) {
+  while (NextSeed < Seeds.size() && Seeds[NextSeed].Time < 0) {
     RR[static_cast<size_t>(Seeds[NextSeed].Phys)] = Seeds[NextSeed].Datum;
     ++NextSeed;
   }

@@ -124,6 +124,39 @@ TEST(MachineSim, SingleIteration) {
   checkMachineEquivalence(buildDaxpyLoop(), 1);
 }
 
+TEST(MachineSim, SeedLandsInItsVirtualDefinitionCycle) {
+  // Suite loop rand582932290. At II 2 with an RR file of 3, instance -2 of
+  // r0 (virtual definition at cycle -2) and instance -1 of r0's address
+  // stream (virtual definition at exactly cycle 0) share a physical
+  // register. Their lifetimes [-2, 0) and [0, 2) are disjoint because
+  // cycle 0's reads see the state before its writes, so iteration 0's
+  // multiply must read r0's seed, not the address seed written at cycle 0.
+  LoopBody Body;
+  ASSERT_EQ(compileLoop("param p0 = 0.25\n"
+                        "param p1 = 0.75\n"
+                        "loop i = 2, n\n"
+                        "  r0[i] = r0[i-2] * p1 + p1\n"
+                        "end\n",
+                        "rand582932290", Body),
+            "");
+  const Schedule Sched = scheduleLoop(Body, machine());
+  ASSERT_TRUE(Sched.Success);
+  KernelCode Code;
+  ASSERT_EQ(generateKernelCode(Body, Sched, Code), "");
+  EXPECT_EQ(Code.II, 2);
+  EXPECT_EQ(Code.RRSize, 3);
+  checkMachineEquivalence(Body, 40);
+}
+
+TEST(MachineSim, PaperSuiteMatchesReference) {
+  // Every loop of the 1,525-loop paper suite, slack-scheduled, against the
+  // sequential reference over lsmsc's default 40 iterations.
+  const std::vector<LoopBody> Suite = buildFullSuite();
+  ASSERT_EQ(Suite.size(), 1525u);
+  for (const LoopBody &Body : Suite)
+    checkMachineEquivalence(Body, 40);
+}
+
 class MachineSimProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(MachineSimProperty, RandomLoopsMatchReference) {

@@ -116,11 +116,13 @@ bool strictlyAscending(std::span<const int> Ids) {
                             std::greater_equal<int>()) == Ids.end();
 }
 
-/// Checks the graph's condensation against its definition on every loop:
-/// two ops share a component iff each reaches the other, judged by a
-/// reachability closure computed here; every arc between components runs
-/// from the higher id to the lower; the member buckets partition the ops
-/// and the intra and entering buckets partition the arcs by destination
+/// Checks the graph's adjacency and condensation against their
+/// definitions on every loop: succArcs(x) lists exactly the arcs leaving x
+/// and predArcs(x) exactly those entering x, each ascending; two ops share
+/// a component iff each reaches the other, judged by a reachability
+/// closure computed here; every arc between components runs from the
+/// higher id to the lower; the member buckets partition the ops and the
+/// intra and entering buckets partition the arcs by destination
 /// component, each ascending; and an op is on a recurrence iff its
 /// component has two or more ops.
 void expectCondensationHolds(const std::vector<LoopBody> &Loops) {
@@ -129,6 +131,24 @@ void expectCondensationHolds(const std::vector<LoopBody> &Loops) {
     const DepGraph Graph = makeGraph(Body);
     const int N = Graph.numOps();
     const size_t NN = static_cast<size_t>(N);
+    ASSERT_EQ(N, Body.numOps());
+
+    std::vector<int> SuccSeen(Graph.arcs().size(), 0);
+    std::vector<int> PredSeen(Graph.arcs().size(), 0);
+    for (int X = 0; X < N; ++X) {
+      ASSERT_TRUE(strictlyAscending(Graph.succArcs(X)));
+      for (int A : Graph.succArcs(X)) {
+        ASSERT_EQ(Graph.arc(A).Src, X);
+        ++SuccSeen[static_cast<size_t>(A)];
+      }
+      ASSERT_TRUE(strictlyAscending(Graph.predArcs(X)));
+      for (int A : Graph.predArcs(X)) {
+        ASSERT_EQ(Graph.arc(A).Dst, X);
+        ++PredSeen[static_cast<size_t>(A)];
+      }
+    }
+    ASSERT_EQ(SuccSeen, std::vector<int>(Graph.arcs().size(), 1));
+    ASSERT_EQ(PredSeen, std::vector<int>(Graph.arcs().size(), 1));
 
     // Reaches[x * N + y]: a path of zero or more arcs leads from x to y.
     std::vector<char> Reaches(NN * NN, 0);

@@ -275,12 +275,27 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomAllocProperty,
                          ::testing::Range(1, 41));
 
 // The one-pass first fit reproduces the pairwise reference's file size and
-// every color, for RR and for ICR with the kernel's stage-predicate chain
-// co-allocated (as generateKernelCode allocates them). The suite's first
-// 300 loops include all 43 kernels.
+// every color over the paper suite and 200 random loops: for RR, for ICR
+// with the kernel's stage-predicate chain co-allocated (as
+// generateKernelCode allocates them), and for RR with the chain as an
+// extra range. Capped at 3 registers, RR succeeds exactly when the
+// reference needs 3 or fewer, with the same colors.
 TEST(RotatingAllocator, MatchesPairwiseFirstFitReference) {
-  int Compared = 0;
-  for (const LoopBody &Body : buildFullSuite(300)) {
+  std::vector<LoopBody> Loops = buildFullSuite();
+  ASSERT_EQ(Loops.size(), 1525u);
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed)
+    Loops.push_back(generateRandomLoop(Seed));
+  const auto ExpectSame = [](const AllocationResult &Got,
+                             const AllocationResult &Want) {
+    ASSERT_EQ(Got.Success, Want.Success);
+    EXPECT_EQ(Got.FileSize, Want.FileSize);
+    EXPECT_EQ(Got.Color, Want.Color);
+    EXPECT_EQ(Got.ExtraColor, Want.ExtraColor);
+    EXPECT_EQ(Got.MaxLive, Want.MaxLive);
+  };
+  int Compared = 0, FitInThree = 0;
+  for (const LoopBody &Body : Loops) {
+    SCOPED_TRACE(Body.Name);
     const Schedule Sched = scheduleLoop(Body, machine());
     if (!Sched.Success)
       continue;
@@ -288,23 +303,30 @@ TEST(RotatingAllocator, MatchesPairwiseFirstFitReference) {
         std::max(1, (Sched.length() + Sched.II - 1) / Sched.II);
     const std::vector<ExtraRange> StageChain = {
         {-1, static_cast<long>(StageCount) * Sched.II + 1}};
-    const AllocationResult RR =
-        allocateRotating(Body, Sched.Times, Sched.II, RegClass::RR);
     const AllocationResult RRRef =
         pairwise::allocate(Body, Sched.Times, Sched.II, RegClass::RR);
-    const AllocationResult ICR = allocateRotating(
-        Body, Sched.Times, Sched.II, RegClass::ICR, 4096, StageChain);
-    const AllocationResult ICRRef = pairwise::allocate(
-        Body, Sched.Times, Sched.II, RegClass::ICR, StageChain);
-    for (const auto &[Got, Want] : {std::pair(&RR, &RRRef),
-                                    std::pair(&ICR, &ICRRef)}) {
-      ASSERT_EQ(Got->Success, Want->Success) << Body.Name;
-      EXPECT_EQ(Got->FileSize, Want->FileSize) << Body.Name;
-      EXPECT_EQ(Got->Color, Want->Color) << Body.Name;
-      EXPECT_EQ(Got->ExtraColor, Want->ExtraColor) << Body.Name;
-      EXPECT_EQ(Got->MaxLive, Want->MaxLive) << Body.Name;
+    ExpectSame(allocateRotating(Body, Sched.Times, Sched.II, RegClass::RR),
+               RRRef);
+    ExpectSame(allocateRotating(Body, Sched.Times, Sched.II, RegClass::ICR,
+                                4096, StageChain),
+               pairwise::allocate(Body, Sched.Times, Sched.II, RegClass::ICR,
+                                  StageChain));
+    ExpectSame(allocateRotating(Body, Sched.Times, Sched.II, RegClass::RR,
+                                4096, StageChain),
+               pairwise::allocate(Body, Sched.Times, Sched.II, RegClass::RR,
+                                  StageChain));
+
+    const AllocationResult Capped =
+        allocateRotating(Body, Sched.Times, Sched.II, RegClass::RR, 3);
+    const bool Fits = RRRef.Success && RRRef.FileSize <= 3;
+    ASSERT_EQ(Capped.Success, Fits);
+    if (Fits) {
+      ExpectSame(Capped, RRRef);
+      ++FitInThree;
     }
     ++Compared;
   }
-  EXPECT_GE(Compared, 290);
+  EXPECT_EQ(Compared, static_cast<int>(Loops.size()));
+  EXPECT_GT(FitInThree, 0);
+  EXPECT_LT(FitInThree, Compared);
 }

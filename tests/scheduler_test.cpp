@@ -4,12 +4,18 @@
 //===----------------------------------------------------------------------===//
 
 #include "bounds/Lifetimes.h"
+#include "core/AcyclicScheduler.h"
 #include "core/ModuloScheduler.h"
 #include "core/Validate.h"
 #include "graph/MinDist.h"
 #include "workloads/Kernels.h"
+#include "workloads/RandomLoop.h"
+#include "workloads/Suite.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <sstream>
 
 using namespace lsms;
 
@@ -30,6 +36,57 @@ std::vector<LoopBody> allKernels() {
   Kernels.push_back(buildDivideLoop());
   return Kernels;
 }
+
+/// What a heuristic scheduler decided over a set of loops: sums of the
+/// outcome and of the Section 6 counters, and an order-sensitive FNV-1a
+/// hash over every issue-time vector. Straight-line schedules add their
+/// block length and MaxLive instead of II and the counters.
+struct ScheduleDigest {
+  long Success = 0, II = 0, MII = 0, CentralLoopIterations = 0,
+       Ejections = 0, Placements = 0, ForcedPlacements = 0,
+       AttemptsTried = 0, Length = 0, MaxLive = 0;
+  uint64_t Hash = 0xcbf29ce484222325ULL;
+
+  void mix(uint64_t Word) {
+    for (int Byte = 0; Byte < 8; ++Byte) {
+      Hash ^= (Word >> (8 * Byte)) & 0xffu;
+      Hash *= 0x100000001b3ULL;
+    }
+  }
+  void mixTimes(const std::vector<int> &Times) {
+    mix(Times.size());
+    for (const int T : Times)
+      mix(static_cast<uint64_t>(static_cast<int64_t>(T)));
+  }
+
+  void add(const Schedule &S) {
+    Success += S.Success;
+    II += S.II;
+    MII += S.MII;
+    CentralLoopIterations += S.Stats.CentralLoopIterations;
+    Ejections += S.Stats.Ejections;
+    Placements += S.Stats.Placements;
+    ForcedPlacements += S.Stats.ForcedPlacements;
+    AttemptsTried += S.Stats.AttemptsTried;
+    mixTimes(S.Times);
+  }
+  void add(const AcyclicSchedule &S) {
+    Success += S.Success;
+    Length += S.Length;
+    MaxLive += S.MaxLive;
+    mixTimes(S.Times);
+  }
+
+  std::string str() const {
+    std::ostringstream OS;
+    OS << "success " << Success << " ii " << II << " mii " << MII
+       << " central " << CentralLoopIterations << " ejections " << Ejections
+       << " placements " << Placements << " forced " << ForcedPlacements
+       << " attempts " << AttemptsTried << " length " << Length
+       << " maxlive " << MaxLive << " hash " << std::hex << Hash;
+    return OS.str();
+  }
+};
 
 } // namespace
 
@@ -214,4 +271,61 @@ TEST(SlackScheduler, BidirectionalPlacesLoadsLate) {
   const PressureInfo PUni =
       computePressure(Body, Uni.Times, Uni.II, RegClass::RR);
   EXPECT_LE(PBi.MaxLive, PUni.MaxLive);
+}
+
+TEST(SchedulePin, SumsMatchRecorded) {
+  // The slack scheduler and its ablations over the paper suite plus 200
+  // random loops, and Cydrome-style and straight-line scheduling over the
+  // suite's first 300 loops, folded into sums and one hash per
+  // configuration. A change to the scheduler's bookkeeping that moves a
+  // single issue cycle, ejection or II attempt moves these constants even
+  // when every schedule still validates. They are the schedulers' current
+  // decisions; re-record them only for a change meant to alter a schedule.
+  std::vector<LoopBody> Loops = buildFullSuite();
+  ASSERT_EQ(Loops.size(), 1525u);
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed)
+    Loops.push_back(generateRandomLoop(Seed));
+
+  SchedulerOptions IncrementByOne = SchedulerOptions::slack();
+  IncrementByOne.IIIncrementPct = 0;
+  ScheduleDigest Slack, Unidirectional, ByOne, Cydrome, Straight,
+      StraightUnidirectional;
+  for (size_t I = 0; I < Loops.size(); ++I) {
+    const DepGraph Graph(Loops[I], machine());
+    Slack.add(scheduleLoop(Graph, SchedulerOptions::slack()));
+    Unidirectional.add(
+        scheduleLoop(Graph, SchedulerOptions::unidirectionalSlack()));
+    ByOne.add(scheduleLoop(Graph, IncrementByOne));
+    if (I >= 300)
+      continue;
+    Cydrome.add(scheduleLoop(Graph, SchedulerOptions::cydrome()));
+    Straight.add(scheduleStraightLine(Graph, SchedulerOptions::slack()));
+    StraightUnidirectional.add(
+        scheduleStraightLine(Graph, SchedulerOptions::unidirectionalSlack()));
+  }
+
+  EXPECT_EQ(Slack.str(),
+            "success 1725 ii 22617 mii 22613 central 157582 ejections 99311 "
+            "placements 157582 forced 62915 attempts 1726 length 0 "
+            "maxlive 0 hash 7b16c7d0fc54320c");
+  EXPECT_EQ(Unidirectional.str(),
+            "success 1722 ii 23212 mii 22613 central 535974 ejections "
+            "460002 placements 535974 forced 286762 attempts 1797 length 0 "
+            "maxlive 0 hash ca7fa00be7b69181");
+  EXPECT_EQ(ByOne.str(),
+            "success 1725 ii 22614 mii 22613 central 157971 ejections 99700 "
+            "placements 157971 forced 63049 attempts 1726 length 0 "
+            "maxlive 0 hash 732d28884ebb03c6");
+  EXPECT_EQ(Cydrome.str(),
+            "success 299 ii 3855 mii 3624 central 155296 ejections 140382 "
+            "placements 155296 forced 43667 attempts 324 length 0 maxlive 0 "
+            "hash 2b684f8513d79089");
+  EXPECT_EQ(Straight.str(),
+            "success 300 ii 0 mii 0 central 0 ejections 0 placements 0 "
+            "forced 0 attempts 0 length 8414 maxlive 3800 "
+            "hash bac02f1de77ced25");
+  EXPECT_EQ(StraightUnidirectional.str(),
+            "success 300 ii 0 mii 0 central 0 ejections 0 placements 0 "
+            "forced 0 attempts 0 length 8162 maxlive 4089 "
+            "hash de5d302af38f5107");
 }
