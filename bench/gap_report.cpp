@@ -28,11 +28,11 @@
 /// runs the flat sweep once per engine and reports any verdict, II or
 /// certified-MaxLive disagreement between them (there must be none: they
 /// decide the same question). --jobs 0, the default, defers to LSMS_JOBS,
-/// else the hardware. Every number must be a whole decimal integer in
-/// range (a seed may also be written in 0x hex or 0 octal); anything else
-/// prints the usage line and exits 1. Otherwise the exit status is
-/// nonzero iff a report counts a failure (OracleFailures) or the engines
-/// disagree.
+/// else the hardware, and --jobs is at most 256 (MaxJobs). Every number
+/// must be a whole decimal integer in range (a seed may also be written in
+/// 0x hex or 0 octal); anything else prints the usage line and exits 1.
+/// Otherwise the exit status is nonzero iff a report counts a failure
+/// (OracleFailures) or the engines disagree.
 //===----------------------------------------------------------------------===//
 
 #include "cgra/CgraOracle.h"
@@ -209,7 +209,7 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--max-ops") {
       Ok = parseWholeInteger(Value, *MaxOps);
     } else if (Arg == "--jobs") {
-      Ok = parseWholeInteger(Value, *Jobs) && *Jobs >= 0;
+      Ok = parseWholeInteger(Value, *Jobs) && *Jobs >= 0 && *Jobs <= MaxJobs;
     } else if (Arg == "--seed") {
       Ok = parseSeed(Value, *Seed);
     } else if (Exact && Arg == "--engine") {
@@ -239,7 +239,7 @@ int main(int Argc, char **Argv) {
     I += TakesValue;
   }
   // The loop counts and op ranges each family's sweep accepts.
-  const int MinMaxOps = Family == "flat"   ? Flat.MinOps
+  const int MinMaxOps = Family == "flat"   ? OracleMinOps
                         : Family == "cgra" ? Cgra.MinOps
                                            : 1;
   if (*Loops < (Family == "cgra" ? 0 : 1) || *MaxOps < MinMaxOps)

@@ -26,10 +26,13 @@
 ///   --rps         target aggregate arrival rate (open mode, required)
 ///   --threads     client event-loop threads (open mode, default: auto)
 ///   --json        machine-readable result on stdout
+/// Closed mode runs one thread per connection, so --connections there, and
+/// --threads, are at most 256 (MaxJobs).
 //===----------------------------------------------------------------------===//
 
 #include "NetBenchCommon.h"
 #include "ServiceBenchCommon.h"
+#include "support/ParallelFor.h"
 #include "support/ParseInteger.h"
 
 #include <charconv>
@@ -133,6 +136,10 @@ int main(int Argc, char **Argv) {
       Ok = false;
     }
   }
+  // Closed mode runs one thread per connection; open mode runs --threads
+  // event loops over its connections.
+  if ((!Open && Config.Connections > MaxJobs) || ClientThreads > MaxJobs)
+    Ok = false;
   if (!Ok) {
     std::cerr << "usage: load_gen --port=P [--host=A] [--connections=N]\n"
                  "                [--requests=N] [--pipeline=N]\n"

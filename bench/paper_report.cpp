@@ -22,7 +22,7 @@
 /// values (the Section 6 time rows and time ratio, and the time columns of
 /// the II-increment and latency ablations).
 ///
-/// Usage: paper_report [suite_size] [--jobs N]
+/// Usage: paper_report [suite_size] [--jobs N]   (N at most 256, MaxJobs)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -931,14 +931,16 @@ void printStraightLine(std::ostream &OS, const Results &R) {
 }
 
 /// Reads "[suite_size] [--jobs N]": a positive suite size (default 1,525)
-/// and N >= 0 stored in \p Jobs (0 means LSMS_JOBS or the hardware). Any
-/// other command line prints the usage line and exits with status 1.
+/// and 0 <= N <= MaxJobs stored in \p Jobs (0 means LSMS_JOBS or the
+/// hardware). Any other command line prints the usage line and exits with
+/// status 1.
 int suiteSizeFromArgs(int Argc, char **Argv, int &Jobs) {
   int Size = 0;
   bool Ok = true;
   for (int I = 1; I < Argc && Ok; ++I) {
     if (std::strcmp(Argv[I], "--jobs") == 0)
-      Ok = I + 1 < Argc && parseWholeInteger(Argv[++I], Jobs) && Jobs >= 0;
+      Ok = I + 1 < Argc && parseWholeInteger(Argv[++I], Jobs) &&
+           Jobs >= 0 && Jobs <= MaxJobs;
     else
       Ok = Size == 0 && parseWholeInteger(Argv[I], Size) && Size > 0;
   }

@@ -26,8 +26,8 @@
 ///   --smoke     small sizes for the `perf` CTest tier (throughput numbers
 ///               are then NOT representative; the JSON is tagged "smoke")
 ///   --jobs N    the job count whose reports and service responses must
-///               match the jobs-1 bytes. Default: 4 in full mode, the
-///               hardware in smoke mode
+///               match the jobs-1 bytes, at most 256 (MaxJobs). Default:
+///               4 in full mode, the hardware in smoke mode
 ///   --out F     write the JSON to F instead of stdout
 ///   Exact budgets (--node-budget=N etc., see service/EngineFlag.h) apply
 ///   to the flat oracle sweep.
@@ -108,7 +108,8 @@ int main(int Argc, char **Argv) {
     if (std::strcmp(Argv[I], "--smoke") == 0) {
       Smoke = true;
     } else if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc &&
-               parseWholeInteger(Argv[I + 1], JobsN) && JobsN >= 0) {
+               parseWholeInteger(Argv[I + 1], JobsN) && JobsN >= 0 &&
+               JobsN <= MaxJobs) {
       ++I;
     } else if (std::strcmp(Argv[I], "--out") == 0 && I + 1 < Argc) {
       OutPath = Argv[++I];

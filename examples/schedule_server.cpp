@@ -37,11 +37,13 @@
 ///   deployment default here is not).
 ///   Every N is a whole decimal integer in its flag's range (--io-shards
 ///   and --max-conns at least 1, --idle-timeout-ms any, the rest at least
-///   0); anything else prints the usage line and exits 2.
+///   0; --jobs, --workers and --io-shards at most MaxJobs, 256); anything
+///   else prints the usage line and exits 2.
 //===----------------------------------------------------------------------===//
 
 #include "net/EpollServer.h"
 #include "service/EngineFlag.h"
+#include "support/ParallelFor.h"
 
 #include <algorithm>
 #include <csignal>
@@ -154,7 +156,8 @@ int main(int Argc, char **Argv) {
     }
   }
   // --workers is another spelling of --jobs: the server has one job count.
-  if (Jobs >= 0 && Workers >= 0 && Jobs != Workers) {
+  if ((Jobs >= 0 && Workers >= 0 && Jobs != Workers) ||
+      std::max({Jobs, Workers, Server.IoShards}) > MaxJobs) {
     usage();
     return 2;
   }

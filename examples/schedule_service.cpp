@@ -19,12 +19,14 @@
 ///                    [--maxlive-node-budget=N]
 ///                    [--maxlive-conflict-budget=N]
 ///                    [--metrics] <requests.jsonl | ->
-///   Every N is a whole decimal integer (--jobs >= 0, --cache-capacity
-///   >= 1); anything else prints the usage line and exits 2.
+///   Every N is a whole decimal integer (0 <= --jobs <= 256, MaxJobs;
+///   --cache-capacity >= 1); anything else prints the usage line and
+///   exits 2.
 //===----------------------------------------------------------------------===//
 
 #include "service/EngineFlag.h"
 #include "service/SchedulingService.h"
+#include "support/ParallelFor.h"
 
 #include <fstream>
 #include <iostream>
@@ -61,7 +63,8 @@ int main(int Argc, char **Argv) {
     const std::string Arg = Argv[I];
     const std::string_view View(Arg);
     if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseWholeInteger(View.substr(7), Config.Jobs) || Config.Jobs < 0) {
+      if (!parseWholeInteger(View.substr(7), Config.Jobs) ||
+          Config.Jobs < 0 || Config.Jobs > MaxJobs) {
         usage();
         return 2;
       }

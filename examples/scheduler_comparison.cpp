@@ -9,7 +9,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "bounds/Lifetimes.h"
-#include "cgra/CgraOracle.h"
 #include "core/ModuloScheduler.h"
 #include "exact/ExactEngine.h"
 #include "service/EngineFlag.h"
@@ -45,56 +44,12 @@ std::string exactIIString(const ExactResult &Exact) {
                              : std::string(exactStatusName(Exact.Status));
 }
 
-/// --cgra mode: the placement-aware slack mapper vs the exact SAT spatial
-/// mapper on the kernel suite, mapped onto \p Cgra. Returns the exit code.
-int runCgraComparison(const CgraModel &Cgra) {
-  CgraOracleOptions Options;
-  Options.Cgra = Cgra;
-  Options.NumLoops = 0; // the kernel suite alone
-  const CgraOracleReport Report = runCgraOracle(Options);
-  TextTable T;
-  T.setHeader({"kernel", "ops", "flatMII", "II slk", "II ex", "status",
-               "gap"});
-  for (const CgraOracleCase &Case : Report.Cases)
-    T.addRow({Case.Name, std::to_string(Case.Ops),
-              std::to_string(Case.FlatMII),
-              Case.HeurSuccess ? std::to_string(Case.HeurII) : "-",
-              Case.Status == ExactStatus::Optimal ||
-                      Case.Status == ExactStatus::Feasible
-                  ? std::to_string(Case.ExactII)
-                  : "-",
-              exactStatusName(Case.Status),
-              Case.IIGapValid ? std::to_string(Case.IIGap) : "-"});
-
-  std::cout << "Spatial mapping comparison on the kernel suite\n"
-            << "(grid " << Cgra.describe()
-            << ";\n slk = placement-aware slack mapper, ex = exact SAT "
-               "spatial mapper,\n flatMII = flat-machine lower bound, gap "
-               "= slk II - ex II)\n\n";
-  T.print(std::cout);
-  std::cout << "\nKernels whose certified spatial II exceeds the flat MII: "
-            << Report.AboveFlatMII << " (the grid constraints bind there)\n";
-  Report.Failures.print(std::cerr);
-  return Report.failures() == 0 ? 0 : 1;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
   ExactOptions ExactConfig;
   bool Both = false;
-  bool UseCgra = false;
-  CgraModel Cgra = CgraModel::defaultGrid(4, 4);
   for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--cgra") == 0 && I + 1 < Argc) {
-      std::string GridErr;
-      if (!CgraModel::parseGridArg(Argv[++I], Cgra, GridErr)) {
-        std::cerr << "scheduler_comparison: " << GridErr << "\n";
-        return 1;
-      }
-      UseCgra = true;
-      continue;
-    }
     if (std::strcmp(Argv[I], "--engine") == 0 && I + 1 < Argc) {
       EngineSelection Sel;
       std::string EngineErr;
@@ -111,15 +66,12 @@ int main(int Argc, char **Argv) {
     if (applyExactBudgetFlag(Argv[I], ExactConfig))
       continue;
     std::cerr << "usage: scheduler_comparison "
-                 "[--engine bnb|sat|portfolio|both] [--cgra RxC]\n"
+                 "[--engine bnb|sat|portfolio|both]\n"
                  "       [--node-budget=N] [--sat-conflict-budget=N]\n"
                  "       [--maxlive-node-budget=N] "
                  "[--maxlive-conflict-budget=N]\n";
     return 1;
   }
-
-  if (UseCgra)
-    return runCgraComparison(Cgra);
 
   const MachineModel Machine = MachineModel::cydra5();
 

@@ -1,6 +1,7 @@
 #include "cgra/CgraMapper.h"
 
 #include "bounds/Bounds.h"
+#include "core/IICapPolicy.h"
 #include "graph/MinDist.h"
 
 #include <algorithm>
@@ -18,6 +19,12 @@ int lsms::arcHopDelay(const CgraModel &Cgra, const DepArc &Arc, int SrcPe,
 }
 
 namespace {
+
+/// The flat slack scheduler's II ladder and ejection budget: II grows by
+/// max(II * 4 / 100, 1) up to IICapPolicy's cap, and each attempt may
+/// eject 16 times per timed op.
+constexpr int IIIncrementPct = 4;
+constexpr long EjectionBudgetPerOp = 16;
 
 int safeMod(long T, int II) {
   return static_cast<int>(((T % II) + II) % II);
@@ -506,8 +513,7 @@ private:
 
 } // namespace
 
-CgraMapping lsms::mapLoopCgra(const DepGraph &Graph, const CgraModel &Cgra,
-                              const CgraMapOptions &Options) {
+CgraMapping lsms::mapLoopCgra(const DepGraph &Graph, const CgraModel &Cgra) {
   CgraMapping Res;
   const int N = Graph.numOps();
   const MachineModel &M = Cgra.machine();
@@ -530,15 +536,14 @@ CgraMapping lsms::mapLoopCgra(const DepGraph &Graph, const CgraModel &Cgra,
       return Res; // capability hole: no PE can run this opcode
   }
 
-  const int MaxII = Options.IICap.maxII(Res.MII);
-  const long Budget =
-      static_cast<long>(Options.BudgetRatio) *
-      std::max<long>(1, static_cast<long>(TimeOps.size()));
+  const int MaxII = IICapPolicy().maxII(Res.MII);
+  const long Budget = EjectionBudgetPerOp *
+                      std::max<long>(1, static_cast<long>(TimeOps.size()));
   MinDistMatrix MD;
   std::vector<long> E, L;
 
   for (int II = Res.MII; II <= MaxII;
-       II += std::max(II * Options.IIIncrementPct / 100, 1)) {
+       II += std::max(II * IIIncrementPct / 100, 1)) {
     ++Res.Attempts;
     if (!MD.compute(Graph, II))
       continue;

@@ -22,21 +22,12 @@
 #define LSMS_CGRA_CGRAMAPPER_H
 
 #include "cgra/CgraModel.h"
-#include "core/IICapPolicy.h"
 #include "ir/DepGraph.h"
 
 #include <string>
 #include <vector>
 
 namespace lsms {
-
-struct CgraMapOptions {
-  /// Percentage for the II escalation step (II += max(II*Pct/100, 1)).
-  int IIIncrementPct = 4;
-  /// Ejection budget per II attempt, as a multiple of the op count.
-  int BudgetRatio = 16;
-  IICapPolicy IICap;
-};
 
 /// A spatial modulo schedule: issue time and PE per operation.
 struct CgraMapping {
@@ -52,11 +43,12 @@ struct CgraMapping {
   int Attempts = 0; ///< II rungs tried
 };
 
-/// Maps \p Graph (built over Cgra.flatModel()) onto the grid. On failure
-/// (capability hole or II cap exhausted) returns Success == false with
-/// MII/Attempts still filled in.
-CgraMapping mapLoopCgra(const DepGraph &Graph, const CgraModel &Cgra,
-                        const CgraMapOptions &Options = CgraMapOptions());
+/// Maps \p Graph (built over Cgra.flatModel()) onto the grid, on the flat
+/// slack scheduler's II ladder (4% steps up to IICapPolicy's cap) with its
+/// ejection budget (16 per op per attempt). On failure (capability hole or
+/// II cap exhausted) returns Success == false with MII/Attempts still
+/// filled in.
+CgraMapping mapLoopCgra(const DepGraph &Graph, const CgraModel &Cgra);
 
 /// Checks a mapping against every spatial constraint: PE range and opcode
 /// capability, one op per PE per modulo slot (reservation cycles included),

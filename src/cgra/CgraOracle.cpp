@@ -1,6 +1,7 @@
 #include "cgra/CgraOracle.h"
 
 #include "bounds/Bounds.h"
+#include "core/IICapPolicy.h"
 #include "support/Table.h"
 #include "workloads/Suite.h"
 
@@ -14,7 +15,7 @@ CgraExactResult lsms::mapLoopCgraExact(const DepGraph &Graph,
   CgraExactResult Res;
   const MIIBounds Bounds = computeMII(Graph);
   Res.Map.MII = Bounds.MII;
-  const int MaxII = Options.IICap.maxII(Bounds.MII);
+  const int MaxII = IICapPolicy().maxII(Bounds.MII);
 
   MinDistMatrix MD;
   std::vector<int> Times, Pes;
@@ -49,8 +50,7 @@ CgraOracleCase lsms::runCgraOracleCase(const LoopBody &Body,
 
   const DepGraph Graph(Body, Options.Cgra.flatModel());
 
-  const CgraMapping Heur =
-      mapLoopCgra(Graph, Options.Cgra, Options.Heuristic);
+  const CgraMapping Heur = mapLoopCgra(Graph, Options.Cgra);
   Case.FlatMII = Heur.MII;
   Case.HeurSuccess = Heur.Success;
   Case.HeurII = Heur.II;

@@ -30,7 +30,6 @@ struct CgraExactOptions {
   /// CDCL conflict budget per II rung (refinement rounds included);
   /// <= 0 gives up before any search.
   long ConflictBudget = 1L << 16;
-  IICapPolicy IICap;
 };
 
 struct CgraExactResult {
@@ -43,8 +42,8 @@ struct CgraExactResult {
 
 /// Exact spatial minimal-II search: the SAT mapper on the II ladder from
 /// the flat MII upward in steps of 1 (exactness requires visiting every
-/// II), capped at IICap.maxII(MII). Optimal means every smaller II was
-/// proven infeasible; Feasible means some earlier rung exhausted its
+/// II), capped at IICapPolicy().maxII(MII). Optimal means every smaller II
+/// was proven infeasible; Feasible means some earlier rung exhausted its
 /// budget first. Deterministic.
 CgraExactResult mapLoopCgraExact(const DepGraph &Graph, const CgraModel &Cgra,
                                  const CgraExactOptions &Options =
@@ -60,7 +59,6 @@ struct CgraOracleOptions {
   CgraModel Cgra = CgraModel::defaultGrid(4, 4);
   /// Prepend the hand-written kernel suite to the random loops.
   bool IncludeKernels = true;
-  CgraMapOptions Heuristic;
   CgraExactOptions Exact;
   /// Worker threads (0 = LSMS_JOBS / hardware); results merge in loop
   /// order, so reports are byte-identical at every job count.

@@ -26,6 +26,11 @@ double secondsSince(Clock::time_point T0) {
 
 constexpr int NeverPlaced = INT_MIN / 2;
 
+/// Ejections allowed per II attempt, per operation (at least 8
+/// operations' worth), before step 6 starts over at a larger II
+/// (Section 4.4).
+constexpr long EjectionBudgetPerOp = 16;
+
 /// Machine operations grouped by the functional-unit instance they are
 /// assigned to: the only operations that can hold each other's slots.
 struct UnitInstances {
@@ -142,9 +147,11 @@ bool AttemptScheduler::run(std::vector<int> &TimesOut) {
   for (int X = 0; X < N; ++X) {
     const size_t I = static_cast<size_t>(X);
     Tier[I] = Options.RecurrencesFirst && !Graph.onRecurrence(X);
-    if (Options.HalveCriticalSlack && ResMII > 1 && Critical[I])
+    // Section 4.3: slack is halved on a critical resource (>= 0.90*II
+    // usage) and halved again for a divider.
+    if (ResMII > 1 && Critical[I])
       ++SlackShift[I];
-    if (Options.HalveDividerSlack && isDividerOp(Body.op(X).Opc))
+    if (isDividerOp(Body.op(X).Opc))
       ++SlackShift[I];
   }
 
@@ -189,8 +196,7 @@ bool AttemptScheduler::run(std::vector<int> &TimesOut) {
       StaticPriority[static_cast<size_t>(X)] = scaledSlack(X);
   }
 
-  const long Budget =
-      static_cast<long>(Options.BudgetRatio) * std::max(N, 8);
+  const long Budget = EjectionBudgetPerOp * std::max(N, 8);
 
   while (!Unplaced.empty()) {
     ++Stats.CentralLoopIterations;

@@ -1,10 +1,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Policy knobs for the modulo-scheduling framework. The defaults are the
-/// paper's bidirectional slack scheduler; presets configure the Cydrome
-/// baseline (Section 8) and the ablations (unidirectional slack, static
-/// priority, II increment of 1).
+/// The switches of the modulo-scheduling framework that the paper's
+/// evaluation turns: the Cydrome differences of Section 8 (static
+/// priority, unidirectional placement, recurrences first), the
+/// bidirectional ablation of Section 5 and footnote 6's II increment; the
+/// presets below set the first three. The defaults are the paper's
+/// bidirectional slack scheduler. The rules the paper fixes are constants
+/// in ModuloScheduler.cpp, not switches: the Section 4.3 priority
+/// refinements (slack halved on a critical resource, halved again for a
+/// divider) and the Section 4.4 ejection budget.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,22 +36,15 @@ struct SchedulerOptions {
   /// before any other operation (Cydrome's policy; Section 8).
   bool RecurrencesFirst = false;
 
-  /// Halve the slack of operations on critical resources (>= 0.90*II
-  /// usage), and halve divider operations' slack again (Section 4.3).
-  bool HalveCriticalSlack = true;
-  bool HalveDividerSlack = true;
-
   /// Percentage for the II escalation step: II += max(floor(Pct/100*II),1).
   /// The paper uses 4; 0 yields the increment-by-1 ablation (footnote 6).
   int IIIncrementPct = 4;
 
-  /// Ejection budget per II attempt, as a multiple of the operation count.
-  int BudgetRatio = 16;
-
   /// Hard cap on II attempts beyond which the loop is reported unschedul-
   /// able (the paper's Cydrome scheduler failed on 14 loops): II is allowed
   /// to grow to IICap.maxII(MII) before giving up. Shared policy type with
-  /// ExactOptions so the heuristic, exact, and oracle paths cap alike.
+  /// ExactOptions so the heuristic, exact, and oracle paths cap alike. The
+  /// service sets it from a request's max_ii.
   IICapPolicy IICap;
 
   /// Straight-line mode (used by scheduleStraightLine): when positive,

@@ -45,8 +45,8 @@ namespace lsms {
 /// already hold the relation at that II) for the functional-unit
 /// assignment \p FuInstance. Returns Optimal (\p TimesOut filled),
 /// Infeasible, or Timeout; \p Nodes is incremented by the candidate
-/// residues evaluated. Deterministic. A set \p Stop flag (portfolio
-/// cancellation) surfaces as Timeout.
+/// residues evaluated. Deterministic. A set \p Stop flag (a caller's
+/// cooperative cancellation, ExactOptions::Stop) surfaces as Timeout.
 ExactStatus solveAtIIBranchAndBound(const DepGraph &Graph,
                                     const MinDistMatrix &MinDist,
                                     const std::vector<int> &FuInstance,

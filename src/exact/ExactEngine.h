@@ -28,7 +28,8 @@
 /// SAT upper bounds, SAT witnesses seed branch-and-bound incumbents — and
 /// the staged dispatch is deterministic: both stages are deterministic
 /// and the hand-off depends only on their verdicts, never on wall-clock.
-/// ExactOptions::Stop arms cooperative cancellation for racing callers.
+/// ExactOptions::Stop arms cooperative cancellation; the staged portfolio
+/// never sets it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -160,7 +161,9 @@ struct ExactOptions {
   /// their hot loops. A set flag makes the current attempt report Timeout
   /// promptly. Unlike Deadline this is caller-driven, so determinism is
   /// exactly as deterministic as the caller's trigger; leave null for the
-  /// byte-identical-reports guarantee.
+  /// byte-identical-reports guarantee. No tool sets it yet (only
+  /// incremental_sat_test does); it is the hook a drain bound on the exact
+  /// path would use.
   const std::atomic<bool> *Stop = nullptr;
 };
 

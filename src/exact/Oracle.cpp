@@ -17,14 +17,13 @@ namespace {
 /// Runs both schedulers on one loop. Pure: touches nothing but its
 /// arguments, so the sweep can fan out across workers.
 OracleCase runOracleCase(const LoopBody &Body, const MachineModel &Machine,
-                         const OracleOptions &Options,
                          const ExactOptions &Exact) {
   const DepGraph Graph(Body, Machine);
   OracleCase Case;
   Case.Name = Body.Name;
   Case.Ops = Body.numMachineOps();
 
-  const Schedule Heur = scheduleLoop(Graph, Options.Heuristic);
+  const Schedule Heur = scheduleLoop(Graph, SchedulerOptions::slack());
   Case.MII = Heur.MII;
   Case.HeurSuccess = Heur.Success;
   Case.HeurEjections = Heur.Stats.Ejections;
@@ -109,17 +108,17 @@ void lsms::finalizeOracleGaps(OracleCase &Case) {
 
 OracleReport lsms::runOracle(const OracleOptions &Options) {
   const std::vector<LoopBody> Suite =
-      buildOracleSuite(Options.NumLoops, Options.MinOps, Options.MaxOps,
+      buildOracleSuite(Options.NumLoops, OracleMinOps, Options.MaxOps,
                        Options.Seed, Options.Jobs);
 
   ExactOptions Exact = Options.Exact;
-  Exact.MinimizeMaxLive = Options.MinimizeMaxLive;
+  Exact.MinimizeMaxLive = true;
 
   // DepGraph keeps a reference to the machine, so it must outlive the loop.
   const MachineModel Machine = MachineModel::cydra5();
   return aggregateOracleCases(
       Options, runOracleCases(Suite, Options.Jobs, [&](const LoopBody &Body) {
-        return runOracleCase(Body, Machine, Options, Exact);
+        return runOracleCase(Body, Machine, Exact);
       }));
 }
 
@@ -198,7 +197,7 @@ void lsms::printOracleReport(std::ostream &OS, const OracleReport &Report) {
   T.print(OS);
 
   OS << "\nSummary over " << Report.Cases.size() << " loops (seed "
-     << Report.Config.Seed << ", " << Report.Config.MinOps << "-"
+     << Report.Config.Seed << ", " << OracleMinOps << "-"
      << Report.Config.MaxOps << " ops):\n"
      << "  heuristic scheduled:   " << Report.HeurScheduled << "\n"
      << "  exact scheduled:       " << Report.ExactScheduled << " ("

@@ -18,7 +18,6 @@
 #ifndef LSMS_EXACT_ORACLE_H
 #define LSMS_EXACT_ORACLE_H
 
-#include "core/SchedulerOptions.h"
 #include "exact/ExactEngine.h"
 #include "support/ParallelFor.h"
 
@@ -69,20 +68,21 @@ struct OracleFailures {
 std::string belowProvenII(const char *Who, bool HeurSuccess, int HeurII,
                           ExactStatus Status, int ExactII);
 
-/// Configuration of one oracle sweep.
+/// The smallest loop body, in machine operations, the flat sweep draws.
+inline constexpr int OracleMinOps = 3;
+
+/// Configuration of one oracle sweep. The heuristic side is always
+/// SchedulerOptions::slack(), and the exact side always runs its
+/// MaxLive-minimization pass at the optimal II, so the pressure gap can be
+/// reported next to the II gap.
 struct OracleOptions {
   uint64_t Seed = 0x19930601;
   int NumLoops = 50;
-  /// Loop-body size range in machine operations; exact scheduling is
-  /// tractable well beyond 20 ops but the sweep defaults stay small so the
-  /// suite runs as a test tier.
-  int MinOps = 3;
+  /// Largest loop body in machine operations (the smallest is
+  /// OracleMinOps); exact scheduling is tractable well beyond 20 ops but
+  /// the sweep defaults stay small so the suite runs as a test tier.
   int MaxOps = 20;
-  SchedulerOptions Heuristic = SchedulerOptions::slack();
   ExactOptions Exact;
-  /// Run the exact MaxLive-minimization pass at the optimal II so the
-  /// pressure gap can be reported next to the II gap.
-  bool MinimizeMaxLive = true;
   /// Worker threads for the per-loop sweep. Positive = that many; 0 (the
   /// default) defers to LSMS_JOBS, else the hardware. Results are merged
   /// in loop-index order, so the report is byte-identical for every job

@@ -2,6 +2,8 @@
 
 #include "support/Compiler.h"
 
+#include <algorithm>
+#include <functional>
 #include <ostream>
 #include <sstream>
 
@@ -128,53 +130,57 @@ int LoopBody::operandArity(Opcode Opc) {
   LSMS_UNREACHABLE("invalid opcode");
 }
 
-namespace {
+std::vector<int> LoopBody::sequentialOrder() const {
+  const int N = numOps();
+  const auto ForEachArc = [this](auto Visit) {
+    for (const Operation &Op : Ops) {
+      for (const Use &U : Op.Operands)
+        if (U.Omega == 0)
+          Visit(value(U.Value).Def, Op.Id);
+      if (Op.PredValue >= 0 && Op.PredOmega == 0)
+        Visit(value(Op.PredValue).Def, Op.Id);
+    }
+    for (const MemDep &D : MemDeps)
+      if (D.Omega == 0)
+        Visit(D.Src, D.Dst);
+  };
+  // Successor lists in one array: First[X] ends up at X's first successor.
+  std::vector<int> First(static_cast<size_t>(N) + 1, 0);
+  std::vector<int> InDegree(static_cast<size_t>(N), 0);
+  ForEachArc([&](int From, int To) {
+    ++First[static_cast<size_t>(From)];
+    ++InDegree[static_cast<size_t>(To)];
+  });
+  for (size_t X = 1; X <= static_cast<size_t>(N); ++X)
+    First[X] += First[X - 1];
+  std::vector<int> Succ(static_cast<size_t>(First[static_cast<size_t>(N)]));
+  ForEachArc([&](int From, int To) {
+    Succ[static_cast<size_t>(--First[static_cast<size_t>(From)])] = To;
+  });
 
-/// Detects cycles among omega-0 register/memory dependences, which would
-/// make the body unschedulable at any II.
-bool hasZeroOmegaCycle(const LoopBody &Body) {
-  const int N = Body.numOps();
-  std::vector<std::vector<int>> Succ(static_cast<size_t>(N));
-  for (const Operation &Op : Body.Ops) {
-    for (const Use &U : Op.Operands)
-      if (U.Omega == 0 && Body.value(U.Value).Def >= 0)
-        Succ[static_cast<size_t>(Body.value(U.Value).Def)].push_back(Op.Id);
-    if (Op.PredValue >= 0 && Op.PredOmega == 0)
-      Succ[static_cast<size_t>(Body.value(Op.PredValue).Def)].push_back(
-          Op.Id);
-  }
-  for (const MemDep &D : Body.MemDeps)
-    if (D.Omega == 0)
-      Succ[static_cast<size_t>(D.Src)].push_back(D.Dst);
-
-  // Iterative three-color DFS.
-  std::vector<uint8_t> Color(static_cast<size_t>(N), 0);
-  std::vector<std::pair<int, size_t>> Stack;
-  for (int Root = 0; Root < N; ++Root) {
-    if (Color[static_cast<size_t>(Root)] != 0)
-      continue;
-    Stack.push_back({Root, 0});
-    Color[static_cast<size_t>(Root)] = 1;
-    while (!Stack.empty()) {
-      auto &[Node, Next] = Stack.back();
-      if (Next < Succ[static_cast<size_t>(Node)].size()) {
-        const int S = Succ[static_cast<size_t>(Node)][Next++];
-        if (Color[static_cast<size_t>(S)] == 1)
-          return true;
-        if (Color[static_cast<size_t>(S)] == 0) {
-          Color[static_cast<size_t>(S)] = 1;
-          Stack.push_back({S, 0});
-        }
-        continue;
+  // Kahn's algorithm on a min-heap of ready ops: lowest id first.
+  std::vector<int> Ready, Order;
+  Ready.reserve(static_cast<size_t>(N));
+  Order.reserve(static_cast<size_t>(N));
+  for (int X = 0; X < N; ++X)
+    if (InDegree[static_cast<size_t>(X)] == 0)
+      Ready.push_back(X);
+  while (!Ready.empty()) {
+    std::pop_heap(Ready.begin(), Ready.end(), std::greater<int>());
+    const int X = Ready.back();
+    Ready.pop_back();
+    Order.push_back(X);
+    for (int K = First[static_cast<size_t>(X)];
+         K < First[static_cast<size_t>(X) + 1]; ++K) {
+      const int S = Succ[static_cast<size_t>(K)];
+      if (--InDegree[static_cast<size_t>(S)] == 0) {
+        Ready.push_back(S);
+        std::push_heap(Ready.begin(), Ready.end(), std::greater<int>());
       }
-      Color[static_cast<size_t>(Node)] = 2;
-      Stack.pop_back();
     }
   }
-  return false;
+  return Order;
 }
-
-} // namespace
 
 std::string LoopBody::verify() const {
   std::ostringstream Err;
@@ -273,7 +279,7 @@ std::string LoopBody::verify() const {
       return Fail("exit condition must be computed inside the loop");
   }
 
-  if (hasZeroOmegaCycle(*this))
+  if (sequentialOrder().size() != static_cast<size_t>(numOps()))
     return Fail("loop body has an intra-iteration dependence cycle");
 
   return std::string();

@@ -235,6 +235,14 @@ public:
   /// description of the first violation.
   std::string verify() const;
 
+  /// The order in which one iteration runs its operations sequentially: a
+  /// topological order of the omega-0 operand, predicate and memory
+  /// dependences that always takes the lowest-id ready operation next. It
+  /// holds fewer than numOps() operations exactly when those dependences
+  /// close a cycle (verify() rejects such a body). Requires every value's
+  /// Def to name an operation.
+  std::vector<int> sequentialOrder() const;
+
   /// Pretty-prints the loop body.
   void print(std::ostream &OS) const;
 

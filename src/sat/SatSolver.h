@@ -201,9 +201,10 @@ public:
 
   /// Installs a cooperative cancellation flag (nullptr to clear). The
   /// search polls it once per decision/conflict and returns Unknown when
-  /// it is set. Results then depend on wall-clock timing, so deterministic
-  /// callers leave it unset; the portfolio race mode uses it for
-  /// first-finisher-wins cancellation.
+  /// it is set. Results then depend on when the flag is set, so
+  /// deterministic callers leave it unset. The exact engines pass
+  /// ExactOptions::Stop here, which the staged portfolio never sets; today
+  /// only incremental_sat_test sets it.
   void setStopFlag(const std::atomic<bool> *Flag) { StopFlag = Flag; }
 
   /// Value of \p Var in the last model (valid only after solve() == Sat).

@@ -33,16 +33,19 @@ uint64_t mixAux(uint64_t H, uint64_t V) {
   return H ^ (H >> 33);
 }
 
-/// Everything besides the loop itself that determines a slack answer.
+/// Everything besides the loop itself that determines a slack answer. The
+/// scheduler's Section 4.3 halving rules and its ejection budget per op
+/// are fixed; the values they always had (on, on, 16) are still mixed in,
+/// at their old positions, so cache and store keys keep their bytes.
 uint64_t slackAux(const ServiceConfig &Config, const SchedulerOptions &O) {
   uint64_t H = mixAux(0x51acULL, machineFingerprint(Config.Machine));
   H = mixAux(H, O.DynamicPriority);
   H = mixAux(H, O.Bidirectional);
   H = mixAux(H, O.RecurrencesFirst);
-  H = mixAux(H, O.HalveCriticalSlack);
-  H = mixAux(H, O.HalveDividerSlack);
+  H = mixAux(H, true); // critical-resource slack halved
+  H = mixAux(H, true); // divider slack halved
   H = mixAux(H, static_cast<uint64_t>(O.IIIncrementPct));
-  H = mixAux(H, static_cast<uint64_t>(O.BudgetRatio));
+  H = mixAux(H, 16); // ejection budget per op
   H = mixAux(H, static_cast<uint64_t>(O.IICap.MaxIIFactor));
   H = mixAux(H, static_cast<uint64_t>(O.IICap.MaxIISlack));
   H = mixAux(H, static_cast<uint64_t>(O.AcyclicPadStep));

@@ -128,6 +128,8 @@ struct ServiceConfig {
   /// keyed by payload text + options; the fast path for byte-identical
   /// resubmissions, skipping parse/canonicalize/validate entirely).
   size_t FrontCacheCapacity = 4096;
+  /// The target machine. No tool sets it, but the benchmark harness reads
+  /// it to build the graphs the service builds.
   MachineModel Machine = MachineModel::cydra5();
   SchedulerOptions Slack;
   /// Base exact options; Engine is overridden per request, Deadline per
@@ -220,8 +222,6 @@ public:
   /// The open failure that disabled the store ("" when none).
   const std::string &storeError() const { return StoreOpenError; }
   ScheduleStoreStats storeStats() const { return Store.stats(); }
-  /// Rewrites the store log to live records only (no-op when unmounted).
-  bool compactStore(std::string &Err) { return Store.compact(Err); }
 
   /// Counters, gauges, latency histograms, cache and store statistics as
   /// one JSON document; \p Pretty selects the indented CLI form, false the

@@ -5,6 +5,7 @@
 #include "ir/DepGraph.h"
 #include "support/Table.h"
 #include "vliwsim/Replay.h"
+#include "workloads/RandomLoop.h"
 #include "workloads/Suite.h"
 
 #include <ostream>
@@ -29,8 +30,8 @@ IrregularCase lsms::runIrregularCase(const LoopBody &Body,
   const DepGraph ConsG(Cons.Body, Machine);
   const DepGraph SpecG(Spec.Body, Machine);
 
-  const Schedule ConsS = scheduleLoop(ConsG, Options.Heuristic);
-  Schedule SpecS = scheduleLoop(SpecG, Options.Heuristic);
+  const Schedule ConsS = scheduleLoop(ConsG, SchedulerOptions::slack());
+  Schedule SpecS = scheduleLoop(SpecG, SchedulerOptions::slack());
   Case.SpecMII = SpecS.MII;
   Case.ConsSuccess = ConsS.Success;
   if (ConsS.Success) {
@@ -80,7 +81,7 @@ IrregularCase lsms::runIrregularCase(const LoopBody &Body,
   // conservative body, traced once for both. The conservative schedule
   // must reproduce the reference unconditionally; the speculative one must
   // whenever every assumption held.
-  const TracedReference Ref(Cons.Body, Options.Iterations);
+  const TracedReference Ref(Cons.Body, IrregularWindow);
   if (SpecS.Success) {
     Case.Replayed = true;
     const ReplayResult RR = replaySchedule(Ref, SpecS, Spec.Assumptions);
@@ -216,7 +217,7 @@ void lsms::printIrregularReport(std::ostream &OS,
 
   OS << "\nSummary over " << Report.Cases.size() << " loops (seed "
      << Report.Config.Seed << ", <= " << Report.Config.MaxOps << " ops, "
-     << Report.Config.Iterations << "-iteration replay window):\n"
+     << IrregularWindow << "-iteration replay window):\n"
      << "  conservative scheduled:  " << Report.ConsScheduled << "\n"
      << "  speculative scheduled:   " << Report.SpecScheduled
      << " (adopted the conservative schedule on " << Report.Adopted << ")\n"

@@ -19,7 +19,6 @@
 #ifndef LSMS_SPEC_SPECORACLE_H
 #define LSMS_SPEC_SPECORACLE_H
 
-#include "core/SchedulerOptions.h"
 #include "exact/Oracle.h"
 #include "spec/Speculation.h"
 
@@ -32,16 +31,16 @@ namespace lsms {
 
 class LoopBody;
 
-/// Configuration of one speculation sweep.
+/// Configuration of one speculation sweep. The heuristic side is always
+/// SchedulerOptions::slack(), and the replay runs IrregularWindow
+/// iterations (workloads/RandomLoop.h), the window the generator's
+/// collision estimates assume.
 struct IrregularOptions {
   uint64_t Seed = 0x19930601;
   int NumLoops = 40;
   int MaxOps = 48;
-  /// Iteration window for the replay harness (also the window the
-  /// generator's collision estimates assume).
-  long Iterations = 64;
-  SchedulerOptions Heuristic = SchedulerOptions::slack();
   ExactOptions Exact;
+  /// No tool sets it, but the benchmark harness lowers with it.
   SpecOptions Spec;
   /// Worker threads (0 = LSMS_JOBS / hardware). Results merge in loop
   /// order: the report is byte-identical for every job count.

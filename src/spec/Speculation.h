@@ -58,6 +58,9 @@ struct Assumption {
   std::string Text;
 };
 
+/// What the speculative lowering may drop. Every caller keeps the
+/// defaults, but the struct stays a parameter: the benchmark harness
+/// lowers with IrregularOptions::Spec.
 struct SpecOptions {
   /// Drop a may-alias group when its stamped collision probability is
   /// known and at most this threshold.

@@ -21,6 +21,8 @@
 #ifndef LSMS_SUPPORT_PARALLELFOR_H
 #define LSMS_SUPPORT_PARALLELFOR_H
 
+#include "support/ParseInteger.h"
+
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -29,6 +31,12 @@
 
 namespace lsms {
 
+/// The largest thread count a tool accepts from outside the program: every
+/// --jobs-style flag refuses a larger value, and resolveJobs ignores a
+/// larger LSMS_JOBS. It lies far above the core counts this code runs on;
+/// hardwareJobs() is not capped.
+inline constexpr int MaxJobs = 256;
+
 /// Worker threads the host supports (always >= 1).
 inline int hardwareJobs() {
   const unsigned H = std::thread::hardware_concurrency();
@@ -36,16 +44,16 @@ inline int hardwareJobs() {
 }
 
 /// Resolves a job-count request: a positive \p Requested wins; otherwise
-/// the LSMS_JOBS environment variable (a positive integer; 0 or unset
-/// means "use the hardware") decides, falling back to hardwareJobs().
+/// the LSMS_JOBS environment variable decides when it is a whole decimal
+/// integer in [1, MaxJobs]; otherwise (unset, 0, malformed like "4x",
+/// negative or above MaxJobs) hardwareJobs() applies.
 inline int resolveJobs(int Requested) {
   if (Requested > 0)
     return Requested;
-  if (const char *Env = std::getenv("LSMS_JOBS")) {
-    const int V = std::atoi(Env);
-    if (V > 0)
-      return V;
-  }
+  int V = 0;
+  if (const char *Env = std::getenv("LSMS_JOBS");
+      Env && parseWholeInteger(Env, V) && V >= 1 && V <= MaxJobs)
+    return V;
   return hardwareJobs();
 }
 

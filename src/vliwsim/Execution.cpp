@@ -213,56 +213,14 @@ bool Machine::evaluate(const Operation &Op, long Iter, std::string &Error,
   return true;
 }
 
-/// Topological order of operations under omega-0 dependences (register and
-/// memory): the sequential execution order of one iteration.
-std::vector<int> sequentialOrder(const LoopBody &Body) {
-  const int N = Body.numOps();
-  std::vector<std::vector<int>> Succ(static_cast<size_t>(N));
-  std::vector<int> InDegree(static_cast<size_t>(N), 0);
-  auto AddEdge = [&Succ, &InDegree](int From, int To) {
-    Succ[static_cast<size_t>(From)].push_back(To);
-    ++InDegree[static_cast<size_t>(To)];
-  };
-  for (const Operation &Op : Body.Ops) {
-    for (const Use &U : Op.Operands)
-      if (U.Omega == 0 && Body.value(U.Value).Def != Body.startOp())
-        AddEdge(Body.value(U.Value).Def, Op.Id);
-    if (Op.PredValue >= 0 && Op.PredOmega == 0)
-      AddEdge(Body.value(Op.PredValue).Def, Op.Id);
-  }
-  for (const MemDep &D : Body.MemDeps)
-    if (D.Omega == 0)
-      AddEdge(D.Src, D.Dst);
-
-  // Kahn's algorithm, preferring low op ids (stable program order).
-  std::vector<int> Ready, Order;
-  for (int Op = 0; Op < N; ++Op)
-    if (InDegree[static_cast<size_t>(Op)] == 0)
-      Ready.push_back(Op);
-  while (!Ready.empty()) {
-    const auto MinIt = std::min_element(Ready.begin(), Ready.end());
-    const int Op = *MinIt;
-    Ready.erase(MinIt);
-    Order.push_back(Op);
-    for (int S : Succ[static_cast<size_t>(Op)])
-      if (--InDegree[static_cast<size_t>(S)] == 0)
-        Ready.push_back(S);
-  }
-  assert(Order.size() == static_cast<size_t>(N) &&
-         "omega-0 cycle (verifier should have rejected this body)");
-  return Order;
-}
-
-} // namespace
-
-namespace {
-
 ExecutionResult runReferenceImpl(const LoopBody &Body, long Iterations,
                                  const MemoryInit &Init,
                                  std::vector<MemTraceEntry> *TraceOut) {
   Machine M(Body, Iterations, Init);
   M.Trace = TraceOut;
-  const std::vector<int> Order = sequentialOrder(Body);
+  const std::vector<int> Order = Body.sequentialOrder();
+  assert(Order.size() == static_cast<size_t>(Body.numOps()) &&
+         "omega-0 cycle (verifier should have rejected this body)");
   std::string Error;
   long Executed = 0;
   for (long Iter = Body.First; Iter < Body.First + Iterations; ++Iter) {

@@ -60,6 +60,13 @@ RandomLoopConfig lsms::drawTable2Config(Rng &R) {
 
 namespace {
 
+/// Probability that a random loop contains conditionals (if-converted).
+constexpr double ConditionalProb = 0.30;
+/// Probability that a generated expression node uses divide or sqrt.
+constexpr double DividerProb = 0.04;
+/// Maximum omega of a cross-iteration reference.
+constexpr int MaxOmega = 3;
+
 /// Emits DSL text for one random loop.
 class SourceGen {
 public:
@@ -102,7 +109,7 @@ private:
 
 std::string SourceGen::run() {
   WantRecurrence = R.nextBool(C.RecurrenceProb);
-  WantConditional = R.nextBool(C.ConditionalProb);
+  WantConditional = R.nextBool(ConditionalProb);
   NumInArrays = static_cast<int>(R.nextInRange(1, 3));
   NumParams = static_cast<int>(R.nextInRange(1, 3));
 
@@ -149,7 +156,7 @@ void SourceGen::emitRecurrence() {
   // non-trivial recurrence circuit through rotating registers.
   const int Array = NumRecOut < 2 ? NumRecOut++ : 0;
   NumRecOut = std::max(NumRecOut, Array + 1);
-  const int D = static_cast<int>(R.nextInRange(1, C.MaxOmega));
+  const int D = static_cast<int>(R.nextInRange(1, MaxOmega));
   const int Depth = static_cast<int>(R.nextInRange(0, 1));
   Body << indent() << "r" << Array << "[i] = r" << Array << "[i-" << D
        << "]";
@@ -228,7 +235,7 @@ std::string SourceGen::expr(int Depth) {
   if (Depth <= 0)
     return leaf();
   const double U = R.nextDouble();
-  if (U < C.DividerProb) {
+  if (U < DividerProb) {
     ++EstOps;
     EstOps += 16; // divider pressure: count its reservation weight
     if (R.nextBool(0.3))
@@ -260,7 +267,7 @@ std::string SourceGen::leaf() {
     // load/store elimination; only draw them when the loop is meant to
     // carry recurrences.
     const int Off = static_cast<int>(
-        WantRecurrence ? R.nextInRange(-C.MaxOmega, 1) : R.nextInRange(0, 1));
+        WantRecurrence ? R.nextInRange(-MaxOmega, 1) : R.nextInRange(0, 1));
     std::ostringstream OS;
     OS << "w" << Array << "[i" << (Off < 0 ? "-" : "+") << std::abs(Off)
        << "]";
@@ -324,6 +331,16 @@ LoopBody lsms::generateRandomLoop(uint64_t Seed) {
 
 namespace {
 
+/// Relative weights of the irregular core patterns: a histogram update
+/// (h[b] = h[b] + e with a data-dependent bucket), a store/load pair on
+/// provably disjoint regions of one array (the canonical held-assumption
+/// speculation win), and a pointer chase (q = nx[q]).
+constexpr double HistogramWeight = 0.40;
+constexpr double DisjointWeight = 0.35;
+constexpr double ChaseWeight = 0.25;
+/// Probability that an irregular loop carries a while-style exit clause.
+constexpr double WhileExitProb = 0.5;
+
 /// Emits DSL text for one irregular loop. Kept entirely separate from
 /// SourceGen so the Table-2 generator's RNG consumption (which existing
 /// goldens pin) is untouched.
@@ -358,12 +375,11 @@ IrregularSource IrregularGen::run() {
   Params << "param p0 = 0.75\nparam p1 = 1.25\n";
 
   // Irregular core pattern.
-  const double TotalW =
-      C.HistogramWeight + C.DisjointWeight + C.ChaseWeight;
-  const double U = R.nextDouble() * (TotalW > 0 ? TotalW : 1.0);
-  if (U < C.HistogramWeight)
+  const double U =
+      R.nextDouble() * (HistogramWeight + DisjointWeight + ChaseWeight);
+  if (U < HistogramWeight)
     emitHistogram();
-  else if (U < C.HistogramWeight + C.DisjointWeight)
+  else if (U < HistogramWeight + DisjointWeight)
     emitDisjointRegions();
   else
     emitPointerChase();
@@ -379,17 +395,18 @@ IrregularSource IrregularGen::run() {
   // Optional while-style exit clause (do-while semantics: the condition is
   // evaluated from end-of-iteration bindings; the first false value marks
   // the last executed iteration).
-  const bool HasWhile = R.nextBool(C.WhileProb);
+  const bool HasWhile = R.nextBool(WhileExitProb);
   std::string WhileClause;
   if (HasWhile) {
     // s0 accumulates in0 reads in [1, 3): after j iterations it lies in
-    // [j, 3j). A threshold beyond 3*Window never fires (the NoEarlyExit
-    // assumption holds); a threshold inside the window's reach fires
-    // mid-window (observable misspeculation for speculative schedules).
+    // [j, 3j). A threshold beyond 3*IrregularWindow never fires (the
+    // NoEarlyExit assumption holds); a threshold inside the window's reach
+    // fires mid-window (observable misspeculation for speculative
+    // schedules).
     const bool Fires = R.nextBool(0.5);
     const long Threshold =
-        Fires ? R.nextInRange(8, std::max<long>(9, C.Window))
-              : 4 * C.Window + R.nextInRange(0, 64);
+        Fires ? R.nextInRange(8, std::max<long>(9, IrregularWindow))
+              : 4 * IrregularWindow + R.nextInRange(0, 64);
     std::ostringstream W;
     W << " while (s0 < " << Threshold << ")";
     WhileClause = W.str();
@@ -416,8 +433,8 @@ void IrregularGen::emitHistogram() {
   static const long Scales[5] = {4, 48, 768, 4096, 16384};
   const long S = Scales[R.nextBelow(5)];
   const double Buckets = 2.0 * static_cast<double>(S);
-  const double Pairs =
-      0.5 * static_cast<double>(C.Window) * static_cast<double>(C.Window - 1);
+  const double Pairs = 0.5 * static_cast<double>(IrregularWindow) *
+                       static_cast<double>(IrregularWindow - 1);
   const double Est = 1.0 - detExp(-Pairs / Buckets);
   AliasProb.emplace_back("h0", Est);
   Body << "  b0 = in0[i] * " << S << "\n";

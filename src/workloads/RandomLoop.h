@@ -20,19 +20,15 @@
 
 namespace lsms {
 
-/// Knobs for one random loop.
+/// Knobs for one random loop. The Table 2 rates the generator does not
+/// let a caller change (conditionals in 30% of loops, divide or sqrt at
+/// 4% of expression nodes, omegas up to 3) are constants in RandomLoop.cpp.
 struct RandomLoopConfig {
   /// Approximate number of machine operations to aim for (the generator
   /// adds statements until the estimate is reached).
   int TargetOps = 18;
-  /// Probability that the loop contains conditionals (if-converted).
-  double ConditionalProb = 0.30;
   /// Probability that the loop carries a non-trivial recurrence.
   double RecurrenceProb = 0.37;
-  /// Probability that a generated statement uses divide or sqrt.
-  double DividerProb = 0.04;
-  /// Maximum omega for cross-iteration references.
-  int MaxOmega = 3;
 };
 
 /// Draws a config whose TargetOps follow the heavy-tailed size
@@ -50,23 +46,19 @@ LoopBody generateRandomLoop(uint64_t Seed, const RandomLoopConfig &Config);
 /// Convenience: Table 2-calibrated loop from a seed alone.
 LoopBody generateRandomLoop(uint64_t Seed);
 
+/// The iteration window of irregular loops: the generator's stamped
+/// collision-probability estimates assume it, and the speculation sweep
+/// replays this many iterations.
+inline constexpr long IrregularWindow = 64;
+
 /// Knobs for one irregular loop (while-exits, data-dependent subscripts).
+/// Each loop gets one irregular core pattern (a histogram update, a
+/// store/load pair on provably disjoint regions of one array, or a pointer
+/// chase) and, with probability 1/2, a while-style exit clause.
 struct IrregularLoopConfig {
   /// Approximate number of affine filler operations added on top of the
   /// irregular core pattern.
   int TargetOps = 10;
-  /// Probability that the loop carries a while-style exit clause.
-  double WhileProb = 0.5;
-  /// Relative weights for the irregular core pattern: a histogram update
-  /// (h[b] = h[b] + e with a data-dependent bucket), a store/load pair on
-  /// provably disjoint regions of one array (the canonical held-assumption
-  /// speculation win), and a pointer chase (q = nx[q]).
-  double HistogramWeight = 0.40;
-  double DisjointWeight = 0.35;
-  double ChaseWeight = 0.25;
-  /// Iteration window the stamped collision-probability estimates assume
-  /// (the replay harness executes this many iterations by default).
-  long Window = 64;
 };
 
 /// Generated irregular source plus the generator's seeded collision
@@ -77,7 +69,7 @@ struct IrregularLoopConfig {
 struct IrregularSource {
   std::string Source;
   /// Array name -> estimated probability that two data-dependent accesses
-  /// of the array collide within one Window.
+  /// of the array collide within IrregularWindow iterations.
   std::vector<std::pair<std::string, double>> ArrayAliasProb;
   bool HasWhile = false;
 };

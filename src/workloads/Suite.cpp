@@ -309,14 +309,11 @@ std::vector<LoopBody> lsms::buildOracleSuite(int Count, int MinOps,
   while (static_cast<int>(Suite.size()) < Count && Attempt < MaxAttempts) {
     const int Block = std::min(BlockSize, MaxAttempts - Attempt);
     std::vector<RandomLoopConfig> Configs(static_cast<size_t>(Block));
-    for (RandomLoopConfig &Config : Configs) {
-      // Small targets: address arithmetic and brtop inflate the body
-      // beyond TargetOps, so aim below the cap and filter on the realized
-      // size.
+    // Small targets: address arithmetic and brtop inflate the body beyond
+    // TargetOps, so aim below the cap and filter on the realized size.
+    for (RandomLoopConfig &Config : Configs)
       Config.TargetOps = static_cast<int>(
           R.nextInRange(2, std::max(2, MaxOps * 2 / 3)));
-      Config.MaxOmega = 3;
-    }
     std::vector<LoopBody> Bodies(static_cast<size_t>(Block));
     parallelFor(resolveJobs(Jobs), Block, [&](int I) {
       Bodies[static_cast<size_t>(I)] = generateRandomLoop(

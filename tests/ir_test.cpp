@@ -6,12 +6,85 @@
 #include "ir/IRBuilder.h"
 #include "ir/LoopBody.h"
 #include "workloads/Kernels.h"
+#include "workloads/RandomLoop.h"
+#include "workloads/Suite.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 using namespace lsms;
+
+namespace {
+
+/// Each op's omega-0 operand, predicate and memory predecessors.
+std::vector<std::vector<int>> zeroOmegaPreds(const LoopBody &Body) {
+  std::vector<std::vector<int>> Preds(static_cast<size_t>(Body.numOps()));
+  for (const Operation &Op : Body.Ops) {
+    for (const Use &U : Op.Operands)
+      if (U.Omega == 0)
+        Preds[static_cast<size_t>(Op.Id)].push_back(Body.value(U.Value).Def);
+    if (Op.PredValue >= 0 && Op.PredOmega == 0)
+      Preds[static_cast<size_t>(Op.Id)].push_back(
+          Body.value(Op.PredValue).Def);
+  }
+  for (const MemDep &D : Body.MemDeps)
+    if (D.Omega == 0)
+      Preds[static_cast<size_t>(D.Dst)].push_back(D.Src);
+  return Preds;
+}
+
+/// Expects sequentialOrder() to hold every op and, at each position, the
+/// lowest-id op whose omega-0 predecessors all come earlier.
+void expectLowestReadyFirst(const LoopBody &Body) {
+  const std::vector<int> Order = Body.sequentialOrder();
+  ASSERT_EQ(Order.size(), static_cast<size_t>(Body.numOps())) << Body.Name;
+  const std::vector<std::vector<int>> Preds = zeroOmegaPreds(Body);
+  std::vector<char> Done(static_cast<size_t>(Body.numOps()), 0);
+  const auto IsDone = [&Done](int P) { return Done[static_cast<size_t>(P)]; };
+  for (size_t K = 0; K < Order.size(); ++K) {
+    int Lowest = -1;
+    for (int X = 0; X < Body.numOps() && Lowest < 0; ++X)
+      if (!Done[static_cast<size_t>(X)] &&
+          std::all_of(Preds[static_cast<size_t>(X)].begin(),
+                      Preds[static_cast<size_t>(X)].end(), IsDone))
+        Lowest = X;
+    ASSERT_EQ(Order[K], Lowest) << Body.Name << " position " << K;
+    Done[static_cast<size_t>(Lowest)] = 1;
+  }
+}
+
+/// A load feeding a store to the same element, plus a memory arc of
+/// \p MemOmega from the store back to the load.
+LoopBody loadStoreWithMemoryArc(int MemOmega) {
+  LoopBody Body;
+  IRBuilder B(Body);
+  const int Arr = B.newArray();
+  const int A = B.addressStream("a", 0);
+  const int L = B.emitLoad(Arr, 0, Use{A, 0}, "l");
+  const int St = B.emitStore(Arr, 0, Use{A, 0}, Use{L, 0}, "st");
+  B.addMemDep(St, Body.value(L).Def, DepKind::Flow, 1, MemOmega);
+  Body.addOperation(Opcode::BrTop, {}, "brtop");
+  Body.setBrTop(Body.numOps() - 1);
+  return Body;
+}
+
+/// x = c + c under predicate p at \p PredOmega, with p = (x > c): a cycle
+/// that only the predicate use can close.
+LoopBody predicatedByOwnComparison(int PredOmega) {
+  LoopBody Body;
+  IRBuilder B(Body);
+  const int C = B.constant(1.0);
+  const int X = B.declareValue(RegClass::RR, "x");
+  const int P = B.emitValue(Opcode::CmpGT, {Use{X, 0}, Use{C, 0}}, "p");
+  B.defineValue(X, Opcode::FloatAdd, {Use{C, 0}, Use{C, 0}}, P, PredOmega);
+  Body.addOperation(Opcode::BrTop, {}, "brtop");
+  Body.setBrTop(Body.numOps() - 1);
+  return Body;
+}
+
+} // namespace
 
 TEST(LoopBody, StartStopPseudoOpsExist) {
   LoopBody Body;
@@ -68,6 +141,26 @@ TEST(LoopBody, VerifierRejectsZeroOmegaCycle) {
   Body.setBrTop(Body.numOps() - 1);
   const std::string Err = Body.verify();
   EXPECT_NE(Err.find("cycle"), std::string::npos) << Err;
+}
+
+TEST(LoopBody, VerifierRejectsCycleClosedByMemoryArc) {
+  EXPECT_EQ(loadStoreWithMemoryArc(/*MemOmega=*/1).verify(), "");
+  const std::string Err = loadStoreWithMemoryArc(/*MemOmega=*/0).verify();
+  EXPECT_NE(Err.find("cycle"), std::string::npos) << Err;
+}
+
+TEST(LoopBody, VerifierRejectsCycleThroughPredicateUse) {
+  EXPECT_EQ(predicatedByOwnComparison(/*PredOmega=*/1).verify(), "");
+  const std::string Err = predicatedByOwnComparison(/*PredOmega=*/0).verify();
+  EXPECT_NE(Err.find("cycle"), std::string::npos) << Err;
+}
+
+TEST(LoopBody, SequentialOrderTakesTheLowestReadyOpFirst) {
+  // The full suite starts with the hand-written kernels.
+  for (const LoopBody &Body : buildFullSuite())
+    expectLowestReadyFirst(Body);
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed)
+    expectLowestReadyFirst(generateIrregularLoop(Seed));
 }
 
 TEST(LoopBody, VerifierAcceptsOmegaOneCycle) {

@@ -82,6 +82,11 @@ TEST(ParallelForTest, ResolveJobsPrecedence) {
   ASSERT_EQ(setenv("LSMS_JOBS", "5", /*overwrite=*/1), 0);
   EXPECT_EQ(resolveJobs(0), 5);
   EXPECT_EQ(resolveJobs(2), 2);
+  // A malformed, out-of-range or negative LSMS_JOBS is ignored.
+  for (const char *Bad : {"4x", "257", "-3"}) {
+    ASSERT_EQ(setenv("LSMS_JOBS", Bad, /*overwrite=*/1), 0);
+    EXPECT_EQ(resolveJobs(0), hardwareJobs()) << "LSMS_JOBS=" << Bad;
+  }
   ASSERT_EQ(unsetenv("LSMS_JOBS"), 0);
   EXPECT_EQ(resolveJobs(0), hardwareJobs());
   EXPECT_GE(hardwareJobs(), 1);

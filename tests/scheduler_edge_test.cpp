@@ -1,7 +1,7 @@
 //===----------------------------------------------------------------------===//
 /// \file Edge-case and option-sweep tests for the scheduling framework:
-/// forced backtracking, tiny ejection budgets, heuristic toggles, and
-/// machine-model variations must all still yield valid schedules.
+/// forced backtracking, the priority toggle, and machine-model variations
+/// must all still yield valid schedules.
 //===----------------------------------------------------------------------===//
 
 #include "core/ModuloScheduler.h"
@@ -56,34 +56,16 @@ TEST(SchedulerEdge, TightLoopSchedulesValidly) {
   EXPECT_EQ(Sched.RecMII, 2);
 }
 
-TEST(SchedulerEdge, TinyBudgetStillSucceedsViaEscalation) {
-  SchedulerOptions Options = SchedulerOptions::slack();
-  Options.BudgetRatio = 1; // almost no backtracking allowed per attempt
-  for (const LoopBody &Body :
-       {buildTightLoop(), buildSampleLoop(), buildDivideLoop()}) {
-    const DepGraph Graph(Body, machine());
-    const Schedule Sched = scheduleLoop(Graph, Options);
-    ASSERT_TRUE(Sched.Success) << Body.Name;
-    EXPECT_EQ(validateSchedule(Graph, Sched), "") << Body.Name;
-  }
-}
-
 TEST(SchedulerEdge, HeuristicTogglesStayValid) {
-  for (const bool HalveCritical : {false, true}) {
-    for (const bool HalveDivider : {false, true}) {
-      for (const bool Dynamic : {false, true}) {
-        SchedulerOptions Options = SchedulerOptions::slack();
-        Options.HalveCriticalSlack = HalveCritical;
-        Options.HalveDividerSlack = HalveDivider;
-        Options.DynamicPriority = Dynamic;
-        for (const LoopBody &Body :
-             {buildSampleLoop(), buildDivideLoop(), buildDotLoop()}) {
-          const DepGraph Graph(Body, machine());
-          const Schedule Sched = scheduleLoop(Graph, Options);
-          ASSERT_TRUE(Sched.Success) << Body.Name;
-          EXPECT_EQ(validateSchedule(Graph, Sched), "") << Body.Name;
-        }
-      }
+  for (const bool Dynamic : {false, true}) {
+    SchedulerOptions Options = SchedulerOptions::slack();
+    Options.DynamicPriority = Dynamic;
+    for (const LoopBody &Body :
+         {buildSampleLoop(), buildDivideLoop(), buildDotLoop()}) {
+      const DepGraph Graph(Body, machine());
+      const Schedule Sched = scheduleLoop(Graph, Options);
+      ASSERT_TRUE(Sched.Success) << Body.Name;
+      EXPECT_EQ(validateSchedule(Graph, Sched), "") << Body.Name;
     }
   }
 }

@@ -502,4 +502,58 @@ TEST(ServiceTest, StoreTierSurvivesServiceRestart) {
   std::remove(StorePath.c_str());
 }
 
+TEST(ServiceTest, StoreWrittenByTheParentStillAnswers) {
+  // A store log written by an earlier build over {"kernel":"daxpy"} and
+  // {"kernel":"daxpy","engine":"bnb"}, with that build's two response
+  // lines. Both records must still be found under today's keys: a change
+  // to what slackAux or exactAux hashes turns every deployed store cold
+  // without failing any test that writes and reads with one binary.
+  const std::string LogHex =
+      "3152534c65000000f2792b0a6bbbefda79759ec5c3bbe0939225d655a23c1bf1"
+      "d92f603801010000000200000002000000020000000100000013000000000000"
+      "000b00000000000000140000000f000000000000000300000002000000110000"
+      "00110000000400000013000000000000003152534c6500000051252b616bbbef"
+      "da79759ec5c3bbe0939225d65566f6e584bce546950101000000020000000200"
+      "000002000000010000001c000000000000000b00000000000000130000000e00"
+      "0000000000000000000001000000100000000100000001000000120000000000"
+      "0000";
+  const std::string Expected[] = {
+      "{\"index\":0,\"proto\":1,\"name\":\"daxpy\",\"engine\":\"slack\","
+      "\"status\":\"ok\",\"tier\":\"slack\",\"degraded\":false,\"ii\":2,"
+      "\"mii\":2,\"res_mii\":2,\"rec_mii\":1,\"length\":20,\"maxlive\":19}",
+      "{\"index\":1,\"proto\":1,\"name\":\"daxpy\",\"engine\":\"bnb\","
+      "\"status\":\"ok\",\"tier\":\"exact\",\"degraded\":false,"
+      "\"exact_status\":\"optimal\",\"ii\":2,\"mii\":2,\"res_mii\":2,"
+      "\"rec_mii\":1,\"length\":19,\"maxlive\":28,"
+      "\"maxlive_proven\":false,\"maxlive_cert\":\"none\"}"};
+
+  const std::string StorePath =
+      testing::TempDir() + "lsms_service_parent_store.log";
+  {
+    std::string Bytes;
+    for (size_t I = 0; I + 1 < LogHex.size(); I += 2)
+      Bytes.push_back(
+          static_cast<char>(std::stoi(LogHex.substr(I, 2), nullptr, 16)));
+    std::FILE *F = std::fopen(StorePath.c_str(), "wb");
+    ASSERT_NE(F, nullptr);
+    ASSERT_EQ(std::fwrite(Bytes.data(), 1, Bytes.size(), F), Bytes.size());
+    std::fclose(F);
+  }
+  ServiceConfig SC;
+  SC.StorePath = StorePath;
+  {
+    SchedulingService Service(SC);
+    ASSERT_TRUE(Service.storeOpen()) << Service.storeError();
+    EXPECT_EQ(Service.handleLine("{\"kernel\":\"daxpy\"}", 0).toJsonl(),
+              Expected[0]);
+    EXPECT_EQ(Service
+                  .handleLine("{\"kernel\":\"daxpy\",\"engine\":\"bnb\"}", 1)
+                  .toJsonl(),
+              Expected[1]);
+    EXPECT_EQ(Service.metrics().counter("store_hits"), 2);
+    EXPECT_EQ(Service.metrics().counter("store_writes"), 0);
+  }
+  std::remove(StorePath.c_str());
+}
+
 } // namespace
