@@ -46,7 +46,7 @@ private:
   void collectLifetimes();
   void encodeLiveness();
   void encodeCounters(long Width);
-  std::vector<Lit> capAssumptions(long K) const;
+  bool capAssumptions(long K, std::vector<Lit> &Assumptions) const;
   long decode(std::vector<int> &TimesOut) const;
 
   const LoopBody &Body;
@@ -64,20 +64,35 @@ private:
   std::vector<int> DBase;           ///< first direct (time) var per slot
 
   /// One lifetime literal family per RR value with uses: live at absolute
-  /// cycles [DefEstart, End).
+  /// cycles [DefEstart, End). Cycles in [SureLo, SureHi) are live in every
+  /// family member — the def's window has closed and some use's window
+  /// has not opened — so they get no literal and load their column as a
+  /// constant instead.
   struct ValueSpan {
     int ValueId = 0;
     int Def = 0;       ///< defining op (real)
     long Lo = 0;       ///< Estart of the def
     long End = 0;      ///< exclusive upper bound on the lifetime end
-    int BBase = 0;     ///< first liveness var; one per cycle in [Lo, End)
+    long SureLo = 0;   ///< surely-live cycles [SureLo, SureHi); may be empty
+    long SureHi = 0;
+    int BBase = 0;     ///< first liveness var; one per other cycle in [Lo, End)
+
+    bool surelyLive(long Tau) const { return Tau >= SureLo && Tau < SureHi; }
+    /// The liveness literal of a cycle that is not surely live.
+    Lit live(long Tau) const {
+      const long Skipped = Tau >= SureHi ? SureHi - SureLo : 0;
+      return mkLit(BBase + static_cast<int>(Tau - Lo - Skipped));
+    }
   };
   std::vector<ValueSpan> Spans;
+  /// Surely-live cycles per II column: a load every family member carries.
+  std::vector<long> Fixed;
   /// RR use sites per value id: (user op, omega).
   std::vector<std::vector<std::pair<int, int>>> UsesOf;
 
   /// Sequential-counter outputs per column: CapVar[c][j-1] is the var for
-  /// "at least j liveness literals of column c are true".
+  /// "at least j liveness literals of column c are true". Empty when the
+  /// family is empty: no counter is built.
   std::vector<std::vector<int>> CapVar;
 };
 
@@ -218,6 +233,7 @@ void MaxLiveEncoder::collectLifetimes() {
   }
 
   Spans.clear();
+  Fixed.assign(static_cast<size_t>(II), 0);
   for (const Value &V : Body.Values) {
     if (V.Class != RegClass::RR ||
         UsesOf[static_cast<size_t>(V.Id)].empty())
@@ -229,15 +245,25 @@ void MaxLiveEncoder::collectLifetimes() {
     Span.Def = V.Def;
     Span.Lo = Estart[static_cast<size_t>(V.Def)];
     Span.End = Span.Lo;
+    long UseOpen = Span.Lo; // latest cycle some use's window opens at
     for (const auto &[User, Omega] : UsesOf[static_cast<size_t>(V.Id)]) {
       assert(Slot[static_cast<size_t>(User)] >= 0 &&
              "RR values are used by real operations");
-      Span.End = std::max(Span.End, Lstart[static_cast<size_t>(User)] +
-                                        static_cast<long>(Omega) * II);
+      const long Shift = static_cast<long>(Omega) * II;
+      Span.End = std::max(Span.End, Lstart[static_cast<size_t>(User)] + Shift);
+      UseOpen = std::max(UseOpen, Estart[static_cast<size_t>(User)] + Shift);
     }
+    // Live at tau whatever the schedule: the def has issued (tau >= its
+    // Lstart) and some use cannot have (tau < its Estart + omega*II).
+    Span.SureLo = std::max(Span.Lo, Lstart[static_cast<size_t>(V.Def)]);
+    Span.SureHi = std::max(Span.SureLo, std::min(Span.End, UseOpen));
     Span.BBase = Solver.numVars();
-    for (long Tau = Span.Lo; Tau < Span.End; ++Tau)
-      Solver.newVar();
+    for (long Tau = Span.Lo; Tau < Span.End; ++Tau) {
+      if (Span.surelyLive(Tau))
+        ++Fixed[static_cast<size_t>(Tau % II)];
+      else
+        Solver.newVar();
+    }
     Spans.push_back(Span);
   }
 }
@@ -247,7 +273,9 @@ void MaxLiveEncoder::encodeLiveness() {
   // keeps the value alive past tau:
   //   (t_def <= tau) & !(t_use <= tau - omega*II)  ->  B(v,tau).
   // The literals are one-directional (never forced false), which is sound
-  // for an upper-bound cap: spurious liveness only over-counts.
+  // for an upper-bound cap: spurious liveness only over-counts. Surely-live
+  // cycles have no literal: there the clause would be the unit B(v,tau),
+  // and the column's fixed load counts it instead.
   for (const ValueSpan &Span : Spans) {
     const size_t SD = static_cast<size_t>(Slot[static_cast<size_t>(Span.Def)]);
     for (const auto &[User, Omega] : UsesOf[static_cast<size_t>(Span.ValueId)]) {
@@ -255,6 +283,8 @@ void MaxLiveEncoder::encodeLiveness() {
       const long UseEndMax =
           Lstart[static_cast<size_t>(User)] + static_cast<long>(Omega) * II;
       for (long Tau = Span.Lo; Tau < UseEndMax; ++Tau) {
+        if (Span.surelyLive(Tau))
+          continue;
         Lit Clause[3];
         size_t N = 0;
         Lit OD, OU;
@@ -268,7 +298,7 @@ void MaxLiveEncoder::encodeLiveness() {
           continue; // use surely over by tau: clause satisfied
         if (CU == 0)
           Clause[N++] = OU;
-        Clause[N++] = mkLit(Span.BBase + static_cast<int>(Tau - Span.Lo));
+        Clause[N++] = Span.live(Tau);
         Solver.addClause(std::span<const Lit>(Clause, N));
       }
     }
@@ -279,16 +309,18 @@ void MaxLiveEncoder::encodeCounters(long Width) {
   // Sequential counter per II column over that column's liveness
   // literals, in (value, cycle) order. S(i,j) = "at least j of the first
   // i+1 literals are true"; only the >= direction is clausified, which is
-  // all a monotone at-most-k cap needs.
+  // all a monotone at-most-k cap needs. The column's fixed load already
+  // uses up that much of the width.
   CapVar.assign(static_cast<size_t>(II), {});
+  std::vector<Lit> Ls;
   for (int Col = 0; Col < II; ++Col) {
-    std::vector<Lit> Ls;
+    Ls.clear();
     for (const ValueSpan &Span : Spans)
       for (long Tau = Span.Lo; Tau < Span.End; ++Tau)
-        if (((Tau % II) + II) % II == Col)
-          Ls.push_back(mkLit(Span.BBase + static_cast<int>(Tau - Span.Lo)));
+        if (Tau % II == Col && !Span.surelyLive(Tau))
+          Ls.push_back(Span.live(Tau));
     const long M = static_cast<long>(Ls.size());
-    const long W = std::min(M, Width);
+    const long W = std::min(M, Width - Fixed[static_cast<size_t>(Col)]);
     if (W <= 0)
       continue;
     std::vector<int> Prev, Cur;
@@ -318,18 +350,24 @@ void MaxLiveEncoder::encodeCounters(long Width) {
 }
 
 /// At-most-K as assumptions rather than permanent units: blocking "at
-/// least K+1 in column c" at the counter output is enough because any K+1
-/// true literals force that output through the >=-direction clauses. Every
-/// probe of the k-walk then reuses one solver state — learned clauses
-/// never depend on the cap and survive each tightening.
-std::vector<Lit> MaxLiveEncoder::capAssumptions(long K) const {
-  std::vector<Lit> Assumptions;
-  for (int Col = 0; Col < II; ++Col) {
-    const std::vector<int> &Out = CapVar[static_cast<size_t>(Col)];
-    if (K + 1 <= static_cast<long>(Out.size()))
-      Assumptions.push_back(~mkLit(Out[static_cast<size_t>(K)]));
+/// least K+1-Fixed[c] more in column c" at the counter output is enough
+/// because that many true literals force the output through the
+/// >=-direction clauses. Every probe of the k-walk then reuses one solver
+/// state — learned clauses never depend on the cap and survive each
+/// tightening. Returns false when some column's fixed load alone exceeds
+/// K: no family member meets the cap, and no search is needed to say so.
+bool MaxLiveEncoder::capAssumptions(long K,
+                                    std::vector<Lit> &Assumptions) const {
+  Assumptions.clear();
+  for (size_t Col = 0; Col < CapVar.size(); ++Col) {
+    const long Free = K - Fixed[Col];
+    if (Free < 0)
+      return false;
+    const std::vector<int> &Out = CapVar[Col];
+    if (Free + 1 <= static_cast<long>(Out.size()))
+      Assumptions.push_back(~mkLit(Out[static_cast<size_t>(Free)]));
   }
-  return Assumptions;
+  return true;
 }
 
 /// Reads issue times out of the model (smallest T whose order literal is
@@ -362,12 +400,17 @@ SatMaxLiveResult MaxLiveEncoder::run(long ConflictBudget, long MinAvg,
   encodeChainsAndDirects();
   encodeDependences();
   encodeResources();
-  collectLifetimes();
-  encodeLiveness();
-  encodeCounters(/*Width=*/std::max(0L, UpperCap) + 1);
+  if (Solver.okay()) {
+    // A root conflict means the family is empty: every probe answers Unsat
+    // without reading the pressure encoding, so none is built.
+    collectLifetimes();
+    encodeLiveness();
+    encodeCounters(/*Width=*/std::max(0L, UpperCap) + 1);
+  }
 
   long BestVal = -1;
   std::vector<int> BestTimes;
+  std::vector<Lit> Assumptions;
   long K = UpperCap;
   for (;;) {
     if (K < MinAvg) {
@@ -378,8 +421,10 @@ SatMaxLiveResult MaxLiveEncoder::run(long ConflictBudget, long MinAvg,
     }
     const long Left = Delta.conflictsLeft(ConflictBudget);
     const SatResult R =
-        Left <= 0 ? SatResult::Unknown
-                  : Solver.solveUnderAssumptions(capAssumptions(K), Left);
+        Left <= 0                         ? SatResult::Unknown
+        : !capAssumptions(K, Assumptions) ? SatResult::Unsat
+                                          : Solver.solveUnderAssumptions(
+                                                Assumptions, Left);
     if (R == SatResult::Unknown)
       break; // budget exhausted: report best-so-far, no claim
     if (R == SatResult::Unsat) {

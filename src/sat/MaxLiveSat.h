@@ -17,15 +17,21 @@
 /// order chain for the modulo-resource conflicts, which depend only on
 /// residues and are probed pairwise against the reservation table.
 /// Dependence bounds t_y - t_x >= MinDist(x,y) become one binary clause
-/// per (pair, time). Register pressure enters through liveness literals
-/// B(v,tau) — value v live at absolute cycle tau — forced true whenever
-/// the def has issued by tau and some use ends after tau; wrapping
-/// lifetimes longer than II are counted exactly because every absolute
-/// cycle of the lifetime contributes its own literal to its column
-/// tau mod II. A sequential counter per column then caps the column sum
-/// at k, and k is tightened monotonically (each model's true pressure
-/// jumps k below it), so one incremental solver instance carries all
-/// probes down to the UNSAT floor.
+/// per (pair, time). A root conflict among these clauses means the family
+/// is empty: the encoding stops there, and the first probe answers UNSAT
+/// with no pressure encoding built. Otherwise register pressure enters
+/// through liveness literals B(v,tau) — value v live at absolute cycle
+/// tau — forced true whenever the def has issued by tau and some use ends
+/// after tau; wrapping lifetimes longer than II are counted exactly because
+/// every absolute cycle of the lifetime contributes to its column
+/// tau mod II. A cycle where v is live in every family member (the def's
+/// window has closed and some use's window has not opened) gets no
+/// literal: it adds one to its column's fixed load F[c]. A sequential
+/// counter per column caps the remaining literals at k - F[c] (a column
+/// with F[c] > k refutes the cap without a search), and k is tightened
+/// monotonically (each model's true pressure jumps k below it), so one
+/// incremental solver instance carries all probes down to the UNSAT
+/// floor.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,17 +9,22 @@
 /// schedule's pressure, certified values never drop below the MinAvg
 /// bound, the two engines' certified values and certificate kinds agree,
 /// and every witness schedule is validator-clean. Suite kernels plus 200
-/// seeded random loops.
+/// seeded random loops, and a pin of the pass's outcomes over the kernels
+/// and the prove_mix flat loops.
 //===----------------------------------------------------------------------===//
 
 #include "bounds/Bounds.h"
 #include "bounds/Lifetimes.h"
+#include "core/FuAssignment.h"
 #include "core/Validate.h"
 #include "exact/ExactEngine.h"
+#include "sat/MaxLiveSat.h"
 #include "workloads/Kernels.h"
 #include "workloads/Suite.h"
 
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 using namespace lsms;
 
@@ -226,4 +231,100 @@ TEST(MaxLiveFamily, DeterministicAcrossRuns) {
     EXPECT_EQ(A.Times, B.Times);
     EXPECT_EQ(A.Stats.primary(Engine), B.Stats.primary(Engine));
   }
+}
+
+namespace {
+
+/// What the MaxLive pass decided over a set of loops: sums of the
+/// outcomes, a count per certificate kind, and an order-sensitive FNV-1a
+/// hash of each loop's (II, MaxLive, MinAvg, certificate, status), or of
+/// a direct SAT walk's (FamilyMin, SearchComplete).
+struct OutcomeDigest {
+  long Loops = 0, MaxLive = 0, MinAvg = 0, FamilyMin = 0, Complete = 0;
+  long Certificates[4] = {};
+  uint64_t Hash = 0xcbf29ce484222325ULL;
+
+  void mix(uint64_t Word) {
+    for (int Byte = 0; Byte < 8; ++Byte) {
+      Hash ^= (Word >> (8 * Byte)) & 0xffu;
+      Hash *= 0x100000001b3ULL;
+    }
+  }
+
+  void add(int II, const MaxLiveOutcome &O) {
+    ++Loops;
+    MaxLive += O.MaxLive;
+    MinAvg += O.MinAvg;
+    ++Certificates[static_cast<size_t>(O.Certificate)];
+    for (const long Word : {static_cast<long>(II), O.MaxLive, O.MinAvg,
+                            static_cast<long>(O.Certificate),
+                            static_cast<long>(O.Status)})
+      mix(static_cast<uint64_t>(Word));
+  }
+  void add(const SatMaxLiveResult &R) {
+    ++Loops;
+    FamilyMin += R.FamilyMin;
+    Complete += R.SearchComplete;
+    mix(static_cast<uint64_t>(R.FamilyMin));
+    mix(R.SearchComplete);
+  }
+
+  std::string str() const {
+    std::ostringstream OS;
+    OS << "loops " << Loops << " maxlive " << MaxLive << " minavg "
+       << MinAvg << " familymin " << FamilyMin << " complete " << Complete
+       << " certificates " << Certificates[0] << '/' << Certificates[1]
+       << '/' << Certificates[2] << '/' << Certificates[3] << " hash "
+       << std::hex << Hash;
+    return OS.str();
+  }
+};
+
+} // namespace
+
+TEST(MaxLivePin, OutcomesMatchRecorded) {
+  // The MaxLive pass as the prove_mix workload runs it, over the kernels
+  // and that workload's 1,000 flat oracle loops at default budgets: the
+  // portfolio finds the minimal II, then minimizeMaxLiveAtII certifies
+  // the pressure there. The SAT walk is also run on its own, capped at the
+  // seed schedule's MaxLive and at MinAvg. An encoding change that keeps
+  // the formula's meaning keeps these constants even when the solver's
+  // search moves; re-record them only for a change meant to alter a
+  // certified value.
+  std::vector<LoopBody> Loops = buildKernelSuite();
+  ASSERT_EQ(Loops.size(), 43u);
+  for (LoopBody &Body : buildOracleSuite(/*Count=*/1000, /*MinOps=*/3,
+                                         /*MaxOps=*/20, /*Seed=*/0x19930601,
+                                         /*Jobs=*/1))
+    Loops.push_back(std::move(Body));
+  ExactOptions Options;
+  Options.Engine = ExactEngineKind::Portfolio;
+  Options.MinimizeMaxLive = false;
+  OutcomeDigest Pass, AtSeed, AtMinAvg;
+  for (const LoopBody &Body : Loops) {
+    const DepGraph Graph(Body, machine());
+    const ExactResult Ex = scheduleLoopExact(Graph, Options);
+    if (!Ex.Sched.Success)
+      continue;
+    const int II = Ex.Sched.II;
+    Pass.add(II, minimizeMaxLiveAtII(Graph, II, Options));
+    MinDistMatrix MinDist;
+    ASSERT_TRUE(MinDist.compute(Graph, II)) << Body.Name;
+    const std::vector<int> FuInstance =
+        assignFunctionalUnits(Body, machine());
+    for (auto [Digest, Cap] : {std::pair{&AtSeed, Ex.MaxLive},
+                               std::pair{&AtMinAvg, Ex.MinAvgAtII}})
+      Digest->add(minimizeMaxLiveSat(Graph, MinDist, FuInstance,
+                                     Options.MaxLiveConflictBudget,
+                                     Ex.MinAvgAtII, Cap));
+  }
+  EXPECT_EQ(Pass.str(),
+            "loops 1043 maxlive 22182 minavg 17375 familymin 0 complete 0 "
+            "certificates 609/267/0/167 hash 93f206e386cad76e");
+  EXPECT_EQ(AtSeed.str(),
+            "loops 1043 maxlive 0 minavg 0 familymin 5576 complete 1043 "
+            "certificates 0/0/0/0 hash db79b3ca4e80a823");
+  EXPECT_EQ(AtMinAvg.str(),
+            "loops 1043 maxlive 0 minavg 0 familymin 2846 complete 1043 "
+            "certificates 0/0/0/0 hash 4392174972799c1e");
 }

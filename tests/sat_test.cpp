@@ -4,16 +4,19 @@
 /// clause addition, model enumeration via blocking clauses, budget
 /// exhaustion, bit-for-bit determinism, the inline watch lists and the
 /// three ways of passing a clause — plus basic checks of the SAT
-/// modulo-scheduling encoder on the kernel suite and a pin of the search
-/// counters over the kernels and oracle loops.
+/// modulo-scheduling encoder on the kernel suite, a pin of the search
+/// counters over the kernels and oracle loops, and the MaxLive walk's two
+/// shortcuts: an empty family and the surely-live column loads.
 //===----------------------------------------------------------------------===//
 
 #include "bounds/Bounds.h"
+#include "bounds/Lifetimes.h"
 #include "cgra/CgraModel.h"
 #include "cgra/CgraOracle.h"
 #include "core/FuAssignment.h"
 #include "core/Validate.h"
 #include "exact/ExactEngine.h"
+#include "ir/IRBuilder.h"
 #include "sat/CgraSat.h"
 #include "sat/MaxLiveSat.h"
 #include "sat/SatScheduler.h"
@@ -539,12 +542,12 @@ TEST(SatSearchPin, CountersMatchRecordedSums) {
     Sum.SatVariables += S.SatVariables;
     Sum.SatClauses += S.SatClauses;
   }
-  EXPECT_EQ(Sum.Decisions, 17652);
-  EXPECT_EQ(Sum.Propagations, 44184);
-  EXPECT_EQ(Sum.Conflicts, 756);
-  EXPECT_EQ(Sum.LearnedClauses, 756);
-  EXPECT_EQ(Sum.SatVariables, 110747);
-  EXPECT_EQ(Sum.SatClauses, 46639);
+  EXPECT_EQ(Sum.Decisions, 14340);
+  EXPECT_EQ(Sum.Propagations, 28061);
+  EXPECT_EQ(Sum.Conflicts, 754);
+  EXPECT_EQ(Sum.LearnedClauses, 754);
+  EXPECT_EQ(Sum.SatVariables, 20258);
+  EXPECT_EQ(Sum.SatClauses, 36773);
 
   const CgraModel Cgra = CgraModel::defaultGrid(2, 2);
   CgraExactOptions CgraOptions;
@@ -576,4 +579,184 @@ TEST(SatScheduler, StatsArePopulated) {
     }
   }
   FAIL() << "sample loop never scheduled";
+}
+
+namespace {
+
+/// t(i) = 2*a(i); b(i) = t(i-3) + a(i): the product is read three
+/// iterations after its def, so at II 1 it is live for three cycles of the
+/// one column whatever the schedule.
+LoopBody buildThreeIterationCarryLoop() {
+  LoopBody Body;
+  Body.Name = "carry3";
+  Body.First = 4;
+  Body.Source = "t(i) = 2*a(i); b(i) = t(i-3) + a(i)";
+  IRBuilder B(Body);
+  const int ArrA = B.newArray();
+  const int ArrB = B.newArray();
+  const int Aa = B.addressStream("aa", 0);
+  const int Ab = B.addressStream("ab", 0);
+  const int La = B.emitLoad(ArrA, 0, Use{Aa, 0}, "la");
+  const int T = B.emitValue(Opcode::FloatMul,
+                            {Use{B.constant(2.0), 0}, Use{La, 0}}, "t");
+  B.setSeeds(T, {3.0, 2.0, 1.0});
+  const int S = B.emitValue(Opcode::FloatAdd, {Use{T, 3}, Use{La, 0}}, "s");
+  B.emitStore(ArrB, 0, Use{Ab, 0}, Use{S, 0}, "st_b");
+  B.finish();
+  return Body;
+}
+
+/// Per II column, the cycles at which some RR value is live in every
+/// member of the issue-time family: from its def's Lstart (the def has
+/// issued) up to the latest Estart + omega*II among its uses (some use
+/// cannot have issued). \p Longest gets the longest such interval.
+std::vector<long> surelyLiveLoad(const LoopBody &Body,
+                                 const MinDistMatrix &MinDist,
+                                 long &Longest) {
+  const long II = MinDist.initiationInterval();
+  const IssueWindows W = computeIssueWindows(Body, MinDist);
+  std::vector<long> UseOpen(static_cast<size_t>(Body.numValues()), -1);
+  const auto Record = [&](int ValueId, int User, int Omega) {
+    long &Open = UseOpen[static_cast<size_t>(ValueId)];
+    if (Body.value(ValueId).Class == RegClass::RR)
+      Open = std::max(Open, W.Estart[static_cast<size_t>(User)] + Omega * II);
+  };
+  for (const Operation &Op : Body.Ops) {
+    for (const Use &U : Op.Operands)
+      Record(U.Value, Op.Id, U.Omega);
+    if (Op.PredValue >= 0)
+      Record(Op.PredValue, Op.Id, Op.PredOmega);
+  }
+  std::vector<long> Load(static_cast<size_t>(II), 0);
+  Longest = 0;
+  for (const Value &V : Body.Values) {
+    const long From = V.Def >= 0 ? W.Lstart[static_cast<size_t>(V.Def)] : 0;
+    const long To = UseOpen[static_cast<size_t>(V.Id)];
+    Longest = std::max(Longest, To - From);
+    for (long Tau = From; Tau < To; ++Tau)
+      ++Load[static_cast<size_t>(Tau % II)];
+  }
+  return Load;
+}
+
+} // namespace
+
+TEST(MaxLiveSat, EmptyFamilyStopsAtTheResourceClauses) {
+  // Most families of the prove_mix flat loops are empty at their minimal
+  // II: the canonical-makespan windows leave no resource-legal placement.
+  // The resource clauses then conflict at the root, and the walk builds no
+  // liveness literal or counter: its variables are the windows' order and
+  // direct literals alone.
+  const MachineModel Machine = MachineModel::cydra5();
+  ExactOptions Options;
+  Options.Engine = ExactEngineKind::Portfolio;
+  int Checked = 0;
+  for (const LoopBody &Body :
+       buildOracleSuite(/*Count=*/20, /*MinOps=*/3, /*MaxOps=*/20,
+                        /*Seed=*/0x19930601, /*Jobs=*/1)) {
+    const DepGraph Graph(Body, Machine);
+    const ExactResult Ex = scheduleLoopExact(Graph, Options);
+    ASSERT_TRUE(Ex.Sched.Success) << Body.Name;
+    MinDistMatrix MinDist;
+    ASSERT_TRUE(MinDist.compute(Graph, Ex.Sched.II));
+    const std::vector<int> FuInstance = assignFunctionalUnits(Body, Machine);
+    // With no useful cap, "no witness" means no family member at all.
+    const SatMaxLiveResult Uncapped = minimizeMaxLiveSat(
+        Graph, MinDist, FuInstance, /*ConflictBudget=*/1L << 18,
+        /*MinAvg=*/0, /*UpperCap=*/1000);
+    ASSERT_TRUE(Uncapped.SearchComplete) << Body.Name;
+    if (Uncapped.FamilyMin >= 0)
+      continue;
+    ++Checked;
+    EXPECT_EQ(Uncapped.Stats.Decisions + Uncapped.Stats.Conflicts, 0)
+        << Body.Name << ": refuted at the root, before any search";
+    const IssueWindows W = computeIssueWindows(Body, MinDist);
+    long WindowVars = 0;
+    for (const Operation &Op : Body.Ops)
+      if (Machine.unitFor(Op.Opc) != FuKind::None) {
+        const long Width = W.Lstart[static_cast<size_t>(Op.Id)] -
+                           W.Estart[static_cast<size_t>(Op.Id)];
+        WindowVars += Width + (Width + 1); // order + direct literals
+      }
+    EXPECT_EQ(Uncapped.Stats.Variables, WindowVars) << Body.Name;
+
+    const SatMaxLiveResult Capped = minimizeMaxLiveSat(
+        Graph, MinDist, FuInstance, /*ConflictBudget=*/1L << 18,
+        Ex.MinAvgAtII, Ex.MaxLive);
+    EXPECT_TRUE(Capped.SearchComplete) << Body.Name;
+    EXPECT_EQ(Capped.FamilyMin, -1) << Body.Name;
+    EXPECT_TRUE(Capped.Times.empty()) << Body.Name;
+    EXPECT_EQ(Capped.Stats.Variables, WindowVars) << Body.Name;
+
+    // A budget <= 0 still gives up before the root conflict is read.
+    const SatMaxLiveResult Unbudgeted = minimizeMaxLiveSat(
+        Graph, MinDist, FuInstance, /*ConflictBudget=*/-1, Ex.MinAvgAtII,
+        Ex.MaxLive);
+    EXPECT_FALSE(Unbudgeted.SearchComplete) << Body.Name;
+    EXPECT_EQ(Unbudgeted.FamilyMin, -1) << Body.Name;
+    EXPECT_EQ(Unbudgeted.Stats.Decisions + Unbudgeted.Stats.Conflicts, 0)
+        << Body.Name;
+  }
+  EXPECT_GT(Checked, 0) << "no empty family among the first 20 loops";
+}
+
+TEST(MaxLiveSat, CapBelowASurelyLiveLoadIsUnsatWithoutSearch) {
+  // Surely-live cycles load their column before any search: a cap below
+  // the heaviest such load has no witness, and the walk proves it without
+  // a decision even though the family is not empty.
+  const LoopBody Body = buildThreeIterationCarryLoop();
+  const MachineModel Machine = MachineModel::cydra5();
+  const DepGraph Graph(Body, Machine);
+  ExactOptions Options;
+  Options.Engine = ExactEngineKind::Sat;
+  const ExactResult Ex = scheduleLoopExact(Graph, Options);
+  ASSERT_TRUE(Ex.Sched.Success);
+  MinDistMatrix MinDist;
+  ASSERT_TRUE(MinDist.compute(Graph, Ex.Sched.II));
+  const std::vector<int> FuInstance = assignFunctionalUnits(Body, Machine);
+  long Longest = 0;
+  const std::vector<long> Load = surelyLiveLoad(Body, MinDist, Longest);
+  const long Heaviest = *std::max_element(Load.begin(), Load.end());
+  ASSERT_GT(Heaviest, 0);
+
+  const SatMaxLiveResult Below = minimizeMaxLiveSat(
+      Graph, MinDist, FuInstance, /*ConflictBudget=*/1L << 18,
+      /*MinAvg=*/0, /*UpperCap=*/Heaviest - 1);
+  EXPECT_TRUE(Below.SearchComplete);
+  EXPECT_EQ(Below.FamilyMin, -1);
+  EXPECT_EQ(Below.Stats.Decisions + Below.Stats.Conflicts, 0);
+
+  // The family itself is not empty: uncapped, the walk finds a witness.
+  const SatMaxLiveResult Uncapped = minimizeMaxLiveSat(
+      Graph, MinDist, FuInstance, /*ConflictBudget=*/1L << 18,
+      /*MinAvg=*/0, /*UpperCap=*/1000);
+  EXPECT_TRUE(Uncapped.SearchComplete);
+  EXPECT_GE(Uncapped.FamilyMin, Heaviest);
+}
+
+TEST(MaxLiveSat, ValueLoadingAColumnTwiceMatchesBranchAndBound) {
+  // A value read three iterations after its def is surely live for longer
+  // than II, so it loads some column twice as a constant. The walk's
+  // family minimum must still be the one branch-and-bound proves by
+  // exhausting the same family.
+  const LoopBody Body = buildThreeIterationCarryLoop();
+  const MachineModel Machine = MachineModel::cydra5();
+  const DepGraph Graph(Body, Machine);
+  ExactOptions Options;
+  const ExactResult Ex = scheduleLoopExact(Graph, Options);
+  ASSERT_TRUE(Ex.Sched.Success);
+  const int II = Ex.Sched.II;
+  MinDistMatrix MinDist;
+  ASSERT_TRUE(MinDist.compute(Graph, II));
+  long Longest = 0;
+  surelyLiveLoad(Body, MinDist, Longest);
+  ASSERT_GT(Longest, II) << "no value is surely live for more than II";
+
+  const MaxLiveOutcome BnB = minimizeMaxLiveAtII(Graph, II, Options);
+  ASSERT_EQ(BnB.Certificate, MaxLiveCertificate::BnBExhausted);
+  const SatMaxLiveResult Sat = minimizeMaxLiveSat(
+      Graph, MinDist, assignFunctionalUnits(Body, Machine),
+      Options.MaxLiveConflictBudget, /*MinAvg=*/0, /*UpperCap=*/1000);
+  EXPECT_TRUE(Sat.SearchComplete);
+  EXPECT_EQ(Sat.FamilyMin, BnB.MaxLive);
 }
